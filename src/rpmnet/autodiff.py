@@ -270,13 +270,12 @@ def square(a) -> Tensor:
 
 def sqrt(a) -> Tensor:
     a = _wrap(a)
-    out = _make("sqrt", np.sqrt(a.value), (a,), None)
+    value = np.sqrt(a.value)
 
     def backward_fn(g):
-        _accum(a, g * (0.5 / out.value))
+        _accum(a, g * (0.5 / value))
 
-    out._backward = backward_fn
-    return out
+    return _make("sqrt", value, (a,), backward_fn)
 
 
 def softplus(a) -> Tensor:

@@ -13,8 +13,10 @@ Saving, loading, and re-saving produces byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -133,8 +135,9 @@ class FlowDataset:
 
 
 def read_csv_rows(path):
-    """Header and raw string rows of a CSV file (RFC-4180 style, UTF-8)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Header and raw string rows of a CSV file (RFC-4180 style, UTF-8;
+    a leading byte-order mark is skipped)."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -148,7 +151,12 @@ def extract_features(header, rows, feature_names):
     """Parse the named columns as float64, dropping unusable rows.
 
     Returns (features, kept_row_indices, dropped_count).  A row is
-    dropped when any feature cell is non-numeric, NaN, or infinite.
+    dropped when it has the wrong number of cells or any feature cell is
+    non-numeric, NaN, or infinite.  Each row's cells are converted
+    straight into a preallocated float64 matrix (numpy parses a ``str``
+    exactly as ``float()`` does); one finiteness mask over the whole
+    matrix then drops the NaN/Inf rows, so every drop is counted in a
+    single pass over the rows.
     """
     positions = []
     missing = []
@@ -160,24 +168,22 @@ def extract_features(header, rows, feature_names):
     if missing:
         raise SchemaError(f"missing columns: {', '.join(missing)}")
 
-    kept_rows, kept_idx, dropped = [], [], 0
+    cells_of = operator.itemgetter(*positions) if positions else (lambda row: ())
+    features = np.empty((len(rows), len(positions)), dtype=np.float64)
+    kept_idx = []
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:
-            dropped += 1
             continue
         try:
-            vec = [float(row[p]) for p in positions]
+            features[len(kept_idx)] = cells_of(row)
         except ValueError:
-            dropped += 1
             continue
-        if not all(np.isfinite(v) for v in vec):
-            dropped += 1
-            continue
-        kept_rows.append(vec)
         kept_idx.append(i)
-    features = np.asarray(kept_rows, dtype=np.float64).reshape(len(kept_rows), len(positions))
-    return features, kept_idx, dropped
+    features = features[: len(kept_idx)]
+    finite = np.isfinite(features).all(axis=1)
+    kept_idx = list(itertools.compress(kept_idx, finite))
+    return features[finite], kept_idx, len(rows) - len(kept_idx)
 
 
 def load_csv(path, feature_names=None, label_column: str = "label", allow_empty: bool = False):
@@ -479,33 +485,36 @@ def load_bundle(path) -> Bundle:
         raise BundleVersionError(f"{path}: bundle format {fmt!r} unsupported; this build reads {BUNDLE_FORMAT!r}")
 
     payload = body[4 + manifest_len :]
-    arrays = {}
-    for entry in manifest["sections"]:
-        start, n = entry["offset"], entry["nbytes"]
-        if start + n > len(payload):
-            raise BundleIntegrityError(f"{path}: section {entry['name']!r} exceeds payload")
-        arrays[entry["name"]] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(
-            entry["shape"]
-        ).copy()
+    try:
+        arrays = {}
+        for entry in manifest["sections"]:
+            start, n = entry["offset"], entry["nbytes"]
+            if start + n > len(payload):
+                raise BundleIntegrityError(f"{path}: section {entry['name']!r} exceeds payload")
+            arrays[entry["name"]] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(
+                entry["shape"]
+            ).copy()
 
-    config = TrainConfig.from_dict(manifest["config"])
-    params = mdl.ModelParams(
-        weights=(arrays["W1"], arrays["W2"], arrays["W3"]),
-        biases=(arrays["b1"], arrays["b2"], arrays["b3"]),
-        reciprocal_points=arrays["points"],
-        raw_margins=arrays["raw_margins"],
-        logit_scale=float(manifest["logit_scale"]),
-        input_dim=int(manifest["input_dim"]),
-        embed_dim=int(manifest["embed_dim"]),
-        class_names=tuple(manifest["class_names"]),
-    )
-    scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
-    threshold = Threshold.from_dict(manifest["threshold"]) if manifest["threshold"] else None
-    return Bundle(
-        params=params,
-        scaler=scaler,
-        config=config,
-        feature_names=tuple(manifest["feature_names"]),
-        label_column=manifest["label_column"],
-        threshold=threshold,
-    )
+        config = TrainConfig.from_dict(manifest["config"])
+        params = mdl.ModelParams(
+            weights=(arrays["W1"], arrays["W2"], arrays["W3"]),
+            biases=(arrays["b1"], arrays["b2"], arrays["b3"]),
+            reciprocal_points=arrays["points"],
+            raw_margins=arrays["raw_margins"],
+            logit_scale=float(manifest["logit_scale"]),
+            input_dim=int(manifest["input_dim"]),
+            embed_dim=int(manifest["embed_dim"]),
+            class_names=tuple(manifest["class_names"]),
+        )
+        scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
+        threshold = Threshold.from_dict(manifest["threshold"]) if manifest["threshold"] else None
+        return Bundle(
+            params=params,
+            scaler=scaler,
+            config=config,
+            feature_names=tuple(manifest["feature_names"]),
+            label_column=manifest["label_column"],
+            threshold=threshold,
+        )
+    except KeyError as e:
+        raise BundleError(f"{path}: malformed bundle manifest, missing {e.args[0]!r}") from None

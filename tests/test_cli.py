@@ -215,6 +215,19 @@ def test_score_appends_columns(workspace, tmp_path):
     assert predicted <= {"dos", "scan", "bruteforce"}
 
 
+def test_score_accepts_utf8_bom(workspace):
+    run_train(workspace)
+    run_calibrate(workspace)
+    bom = workspace["dir"] / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (workspace["dir"] / "flows.csv").read_bytes())
+    outs = []
+    for data, name in ((workspace["data"], "plain.scored.csv"), (str(bom), "bom.scored.csv")):
+        out = workspace["dir"] / name
+        assert main(["score", "--bundle", workspace["calibrated"], "--data", data, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_score_requires_calibrated_bundle(workspace, capsys):
     run_train(workspace)
     rc = main(["score", "--bundle", workspace["bundle"], "--data", workspace["data"],

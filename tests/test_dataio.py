@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import struct
 import zlib
 
@@ -103,6 +104,106 @@ def test_custom_label_column(tmp_path):
     ds, _ = dio.load_csv(path, label_column="Attack Type")
     assert ds.labels == ("dos",)
     assert ds.feature_names == ("f0",)
+
+
+def reference_extract(header, rows, feature_names):
+    """Per-cell ``float()`` parser that ``extract_features`` must match."""
+    positions = [header.index(name) for name in feature_names]
+    kept, kept_idx, dropped = [], [], 0
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            dropped += 1
+            continue
+        try:
+            vec = [float(row[p]) for p in positions]
+        except ValueError:
+            dropped += 1
+            continue
+        if not all(math.isfinite(v) for v in vec):
+            dropped += 1
+            continue
+        kept.append(vec)
+        kept_idx.append(i)
+    return np.asarray(kept, dtype=np.float64).reshape(len(kept), len(positions)), kept_idx, dropped
+
+
+QUIRKY_CELLS = [
+    "1_000", " 1.5 ", "Infinity", "-inf", "nan", "NaN", "1e400", "-1e400", "4.9e-324", "-0.0",
+    "", "0x10", "1,5", "abc", "\u0661\u0662", "+.5", "1e", ".", "\t2\n",
+]
+cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from(["%e" % v, "%g" % v, "%.20f" % v])
+    ),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(QUIRKY_CELLS),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    width = draw(st.integers(1, 5))
+    header = [f"c{j}" for j in range(width)]
+    feature_names = draw(st.permutations(header))[: draw(st.integers(0, width))]
+    rows = draw(
+        st.lists(
+            st.integers(max(width - 1, 0), width + 1).flatmap(lambda n: st.lists(cells, min_size=n, max_size=n)),
+            max_size=12,
+        )
+    )
+    return header, rows, feature_names
+
+
+@given(csv_tables())
+@settings(max_examples=300, deadline=None)
+def test_extract_features_matches_per_cell_float(table):
+    header, rows, feature_names = table
+    features, kept_idx, dropped = dio.extract_features(header, rows, feature_names)
+    ref_features, ref_idx, ref_dropped = reference_extract(header, rows, feature_names)
+    assert features.dtype == np.float64
+    assert features.shape == ref_features.shape
+    assert features.tobytes() == ref_features.tobytes()
+    assert kept_idx == ref_idx
+    assert dropped == ref_dropped
+
+
+def test_extract_features_single_feature_schema():
+    header = ["a", "b", "label"]
+    rows = [["1", "2.5", "x"], ["1", "oops", "x"], ["1", "inf", "x"], ["1", " -3 ", "y"], ["1", "2"]]
+    features, kept_idx, dropped = dio.extract_features(header, rows, ["b"])
+    assert features.shape == (2, 1)
+    assert np.array_equal(features, [[2.5], [-3.0]])
+    assert kept_idx == [0, 3]
+    assert dropped == 3
+
+
+def test_extract_features_every_row_dropped():
+    header = ["a", "b"]
+    rows = [["nan", "1"], ["1", ""], ["1"], ["Infinity", "2"]]
+    features, kept_idx, dropped = dio.extract_features(header, rows, ["a", "b"])
+    assert features.shape == (0, 2)
+    assert kept_idx == []
+    assert dropped == 4
+
+
+def test_extract_features_zero_features_keeps_well_formed_rows():
+    header = ["label"]
+    rows = [["x"], ["y", "extra"], ["z"]]
+    features, kept_idx, dropped = dio.extract_features(header, rows, [])
+    assert features.shape == (2, 0)
+    assert kept_idx == [0, 2]
+    assert dropped == 1
+
+
+def test_load_csv_skips_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbff0,f1,label\n1.0,2.0,a\n")
+    ds, _ = dio.load_csv(str(path))
+    assert ds.feature_names == ("f0", "f1")
+    assert np.array_equal(ds.features, [[1.0, 2.0]])
+    assert ds.labels == ("a",)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +408,35 @@ def test_bundle_not_a_bundle(tmp_path):
         dio.load_bundle(path)
 
 
-def test_bundle_version_mismatch_names_versions(tmp_path):
-    path = tmp_path / "m.bundle"
-    dio.save_bundle(path, tiny_bundle())
+def rewrite_manifest(path, edit):
+    """Apply ``edit`` to a saved bundle's manifest and re-seal its CRC."""
     blob = path.read_bytes()
     body = blob[4:-4]
     (mlen,) = struct.unpack("<I", body[:4])
     manifest = json.loads(body[4 : 4 + mlen])
-    manifest["format"] = "rpmnet-bundle/99"
+    edit(manifest)
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     new_body = struct.pack("<I", len(mbytes)) + mbytes + body[4 + mlen :]
     crc = zlib.crc32(new_body) & 0xFFFFFFFF
     path.write_bytes(b"RPMB" + new_body + struct.pack("<I", crc))
+
+
+def test_bundle_version_mismatch_names_versions(tmp_path):
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    rewrite_manifest(path, lambda m: m.update(format="rpmnet-bundle/99"))
     with pytest.raises(dio.BundleVersionError, match=r"rpmnet-bundle/99.*rpmnet-bundle/1"):
+        dio.load_bundle(path)
+
+
+@pytest.mark.parametrize("key", ["sections", "config", "threshold", "W1", "scaler_std"])
+def test_bundle_malformed_manifest_names_missing_key(tmp_path, key):
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    if key in ("W1", "scaler_std"):
+        edit = lambda m: m.update(sections=[e for e in m["sections"] if e["name"] != key])
+    else:
+        edit = lambda m: m.pop(key)
+    rewrite_manifest(path, edit)
+    with pytest.raises(dio.BundleError, match=f"missing '{key}'"):
         dio.load_bundle(path)

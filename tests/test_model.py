@@ -1,8 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpmnet.autodiff as ad
+import rpmnet.losses as ls
 import rpmnet.model as mdl
 from rpmnet.config import TrainConfig
 
@@ -185,3 +189,33 @@ def test_init_is_finite_and_shaped(rng):
     assert [w.shape for w in p.weights] == [(7, 16), (16, 8), (8, 5)]
     for arr in p.trainable().values():
         assert np.all(np.isfinite(arr))
+
+
+# ---------------------------------------------------------------------------
+# tape lifetime
+
+
+def _inference_pass(params, x, y, cfg):
+    mdl.class_distances(params, x)
+
+
+def _training_step(params, x, y, cfg):
+    _, root, leaves = ls.total_loss(params, x, y, cfg)
+    ad.gradient(root, leaves.values())
+
+
+@pytest.mark.parametrize("run", [_inference_pass, _training_step])
+def test_tape_is_freed_without_cycle_collector(run, rng):
+    """No autodiff node sits in a reference cycle, so a whole tape is
+    freed by reference counting as soon as its root is dropped."""
+    cfg = small_config()
+    params = mdl.init_params(5, ["a", "b", "c"], cfg, rng)
+    x = rng.normal(size=(16, 5))
+    y = rng.integers(0, 3, size=16)
+    gc.collect()
+    gc.disable()
+    try:
+        run(params, x, y, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
