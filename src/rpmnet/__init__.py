@@ -12,7 +12,6 @@ from .dataio import (
     Bundle,
     ClassRoles,
     FlowDataset,
-    FlowRecord,
     OpenSetSplit,
     Scaler,
     fit_scaler,
@@ -36,7 +35,6 @@ __all__ = [
     "Bundle",
     "ClassRoles",
     "FlowDataset",
-    "FlowRecord",
     "OpenSetSplit",
     "Scaler",
     "fit_scaler",

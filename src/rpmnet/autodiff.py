@@ -11,7 +11,6 @@ Guarantees enforced here instead of by callers:
 * every op output is finite; NaN/Inf raises ``NonFiniteError`` naming the op
 * incompatible operand shapes raise ``ShapeError`` naming the op
 * ReLU and ``clamp_min`` use subgradient 0 at their kink
-* max reductions route the gradient to the first maximal entry
 
 Tensors are value-like: once created their array is never mutated, so
 they are safe to share across threads.  A tape, by contrast, belongs to
@@ -41,10 +40,7 @@ __all__ = [
     "softplus",
     "reduce_sum",
     "reduce_mean",
-    "reduce_max",
     "softmax_cross_entropy",
-    "l2_norm",
-    "dot",
     "backward",
     "gradient",
 ]
@@ -334,30 +330,6 @@ def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
     return _make("mean", np.mean(a.value, axis=axes or None, keepdims=keepdims), (a,), backward_fn)
 
 
-def reduce_max(a, axis=None, keepdims=False) -> Tensor:
-    """Max over an axis (or all entries); ties route the gradient to the
-    first maximal entry, matching numpy's argmax."""
-    a = _wrap(a)
-    if axis is None:
-        def backward_fn(g):
-            mask = np.zeros_like(a.value)
-            mask[np.unravel_index(np.argmax(a.value), a.value.shape)] = 1.0
-            _accum(a, np.asarray(g) * mask)
-
-        return _make("max", np.max(a.value, keepdims=keepdims), (a,), backward_fn)
-
-    ax = axis % a.value.ndim
-
-    def backward_fn(g):
-        idx = np.expand_dims(np.argmax(a.value, axis=ax), ax)
-        mask = np.zeros_like(a.value)
-        np.put_along_axis(mask, idx, 1.0, axis=ax)
-        gg = g if keepdims else np.expand_dims(g, ax)
-        _accum(a, mask * gg)
-
-    return _make("max", np.max(a.value, axis=ax, keepdims=keepdims), (a,), backward_fn)
-
-
 def softmax_cross_entropy(logits, labels) -> Tensor:
     """Mean of -log softmax(logits)[label] over the batch (fused op).
 
@@ -387,24 +359,6 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
         _accum(logits, np.asarray(g) * p / n)
 
     return _make("softmax_cross_entropy", loss, (logits,), backward_fn)
-
-
-# ---------------------------------------------------------------------------
-# composed helpers
-
-
-def l2_norm(a, axis=None, keepdims=False, guard: float = 1e-12) -> Tensor:
-    """Euclidean norm with a floor of ``guard`` so the gradient stays finite
-    at zero vectors (the floor is applied to the squared norm)."""
-    return sqrt(clamp_min(reduce_sum(square(a), axis=axis, keepdims=keepdims), guard * guard))
-
-
-def dot(a, b) -> Tensor:
-    """Inner product of two same-shape tensors."""
-    a, b = _wrap(a), _wrap(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"dot: shapes differ, {a.value.shape} vs {b.value.shape}")
-    return reduce_sum(mul(a, b))
 
 
 # ---------------------------------------------------------------------------

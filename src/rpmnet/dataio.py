@@ -12,6 +12,7 @@ Saving, loading, and re-saving produces byte-identical files.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import json
@@ -34,7 +35,6 @@ __all__ = [
     "BundleError",
     "BundleVersionError",
     "BundleIntegrityError",
-    "FlowRecord",
     "FlowDataset",
     "Scaler",
     "ClassRoles",
@@ -65,7 +65,7 @@ _MAGIC = b"RPMB"
 
 
 class SchemaError(ValueError):
-    """A required CSV column is missing."""
+    """A required CSV column is missing or appears more than once."""
 
 
 class EmptyDatasetError(ValueError):
@@ -89,14 +89,6 @@ class BundleIntegrityError(BundleError):
 
 
 @dataclass(frozen=True)
-class FlowRecord:
-    """One network flow: a numeric feature vector and its class label."""
-
-    features: np.ndarray
-    label: str
-
-
-@dataclass(frozen=True)
 class FlowDataset:
     """A column-aligned batch of flow records."""
 
@@ -110,10 +102,6 @@ class FlowDataset:
     @property
     def width(self) -> int:
         return self.features.shape[1]
-
-    def records(self):
-        for row, label in zip(self.features, self.labels):
-            yield FlowRecord(features=row, label=label)
 
     def take(self, indices) -> "FlowDataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -147,12 +135,24 @@ def read_csv_rows(path):
     return [h.strip() for h in header], rows
 
 
+def _reject_duplicates(header, names) -> None:
+    """Raise SchemaError naming every one of ``names`` that the header
+    holds more than once, since reading it would pick one copy silently."""
+    counts = collections.Counter(header)
+    repeated = [name for name in dict.fromkeys(names) if counts[name] > 1]
+    if repeated:
+        raise SchemaError(
+            f"duplicated columns: {', '.join(repeated)}; rename or drop the repeated columns"
+        )
+
+
 def extract_features(header, rows, feature_names):
     """Parse the named columns as float64, dropping unusable rows.
 
     Returns (features, kept_row_indices, dropped_count).  A row is
     dropped when it has the wrong number of cells or any feature cell is
-    non-numeric, NaN, or infinite.  Each row's cells are converted
+    non-numeric, NaN, or infinite.  A feature column that the header
+    holds twice is a ``SchemaError``.  Each row's cells are converted
     straight into a preallocated float64 matrix (numpy parses a ``str``
     exactly as ``float()`` does); one finiteness mask over the whole
     matrix then drops the NaN/Inf rows, so every drop is counted in a
@@ -167,6 +167,7 @@ def extract_features(header, rows, feature_names):
             missing.append(name)
     if missing:
         raise SchemaError(f"missing columns: {', '.join(missing)}")
+    _reject_duplicates(header, feature_names)
 
     cells_of = operator.itemgetter(*positions) if positions else (lambda row: ())
     features = np.empty((len(rows), len(positions)), dtype=np.float64)
@@ -198,6 +199,7 @@ def load_csv(path, feature_names=None, label_column: str = "label", allow_empty:
     if feature_names is None:
         feature_names = [h for h in header if h != label_column]
     feature_names = list(feature_names)
+    _reject_duplicates(header, feature_names + [label_column])
 
     features, kept_idx, dropped = extract_features(header, rows, feature_names)
     if dropped:
@@ -291,12 +293,6 @@ class ClassRoles:
             return ROLE_TEST_UNKNOWN
         return self.default
 
-    def as_mapping(self) -> dict:
-        out = {name: ROLE_KNOWN for name in self.known}
-        out.update({name: ROLE_VALIDATION_UNKNOWN for name in self.validation_unknown})
-        out.update({name: ROLE_TEST_UNKNOWN for name in self.test_unknown})
-        return out
-
 
 def load_roles(path) -> ClassRoles:
     """Read a roles config: JSON with ``known``/``validation_unknown``/
@@ -346,10 +342,6 @@ class OpenSetSplit:
     val_unknown: FlowDataset
     test_unknown: FlowDataset
     class_roles: dict = field(default_factory=dict)
-
-    @property
-    def known_classes(self) -> tuple:
-        return tuple(sorted(c for c, r in self.class_roles.items() if r == ROLE_KNOWN))
 
 
 def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed: int = 0) -> OpenSetSplit:

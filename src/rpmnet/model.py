@@ -6,6 +6,17 @@ A reciprocal point is a learnable vector representing what a class is
 embedding and that class's reciprocal point, so samples of class k are
 pushed away from it during training while unknown traffic tends to land
 near the points, i.e. in the low-score center of the space.
+
+The forward pass exists twice, on purpose.  :func:`embed_graph` and
+:func:`distance_graph` build it on the autodiff tape; they are the
+reference the tests check the production path against, and they back
+the plain-array loss functions.  Inference (:func:`embed`,
+:func:`class_distances`) and training (``losses.loss_and_grads``) run
+:func:`forward_embed` and :func:`forward_distances` instead: plain
+numpy that performs the tape's own float operations in the tape's
+order, so its results are bit-identical to the graph's ``.value``.  It
+builds no tape, and at inference it drops each activation once the next
+layer has used it.
 """
 from __future__ import annotations
 
@@ -109,7 +120,7 @@ def as_leaves(params: ModelParams) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# forward path (autodiff graph)
+# forward path (autodiff graph, the reference)
 
 
 def embed_graph(leaves: dict, x: ad.Tensor, dropout_masks=None) -> ad.Tensor:
@@ -152,6 +163,63 @@ def logits_graph(leaves: dict, z: ad.Tensor, embed_dim: int, logit_scale: float)
 
 
 # ---------------------------------------------------------------------------
+# forward path (plain numpy, bit-identical to the graph)
+
+
+def check_finite(stage: str, value):
+    """Return ``value``; raise ``NonFiniteError`` naming ``stage`` if it
+    holds NaN or Inf (the tape's guarantee, kept by the fused code)."""
+    if not np.isfinite(value).all():
+        raise ad.NonFiniteError(f"{stage}: output contains NaN or Inf")
+    return value
+
+
+def forward_embed(params: ModelParams, x: np.ndarray, dropout_masks=None, hidden=None) -> np.ndarray:
+    """The float operations of :func:`embed_graph` on plain arrays.
+
+    Each pre-ReLU array is checked for NaN/Inf before ReLU could mask
+    it.  When ``hidden`` is a list, the two post-ReLU activations are
+    appended to it (the training backward reads them); otherwise each is
+    dropped once the next layer has used it.
+    """
+    h = x
+    for layer, (w, b) in enumerate(zip(params.weights[:2], params.biases[:2])):
+        h = h @ w
+        h += b
+        if dropout_masks is not None:
+            h *= dropout_masks[layer]
+        check_finite(f"layer {layer + 1}", h)
+        # ReLU as the tape's np.where(h > 0, h, 0.0): numpy documents
+        # maximum(-0.0, 0.0) as -0.0 (dropout makes -0.0 entries), and
+        # adding +0.0 turns that into +0.0 while leaving all else as is
+        np.maximum(h, 0.0, out=h)
+        h += 0.0
+        if hidden is not None:
+            hidden.append(h)
+    z = h @ params.weights[2]
+    z += params.biases[2]
+    return check_finite("embedding", z)
+
+
+def forward_distances(z: np.ndarray, points: np.ndarray, embed_dim: int):
+    """The float operations of :func:`distance_graph` on plain arrays.
+
+    Returns ``(distances, parts)``; ``parts`` is ``(row_sq, col_sq,
+    cross, z_norm, p_norm, denom)``, the intermediates the training
+    backward reads.
+    """
+    row_sq = np.sum(z * z, axis=1, keepdims=True)
+    col_sq = np.sum(points * points, axis=1, keepdims=True)
+    cross = z @ points.T
+    sq_dist = (row_sq + col_sq.T - cross * 2.0) / float(embed_dim)
+    z_norm = np.sqrt(np.maximum(row_sq, NORM_GUARD * NORM_GUARD))
+    p_norm = np.sqrt(np.maximum(col_sq, NORM_GUARD * NORM_GUARD))
+    denom = z_norm @ p_norm.T
+    dist = check_finite("distance", sq_dist - cross / denom)
+    return dist, (row_sq, col_sq, cross, z_norm, p_norm, denom)
+
+
+# ---------------------------------------------------------------------------
 # inference wrappers (plain arrays in, plain arrays out)
 
 
@@ -166,16 +234,13 @@ def _check_batch(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Inference-mode embeddings, shape (N, embed_dim)."""
-    x = _check_batch(params, x)
-    return embed_graph(as_leaves(params), ad.constant(x)).value
+    return forward_embed(params, _check_batch(params, x))
 
 
 def class_distances(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Hybrid distance of each sample to every reciprocal point, (N, K)."""
-    x = _check_batch(params, x)
-    leaves = as_leaves(params)
-    z = embed_graph(leaves, ad.constant(x))
-    return distance_graph(leaves, z, params.embed_dim).value
+    z = forward_embed(params, _check_batch(params, x))
+    return forward_distances(z, params.reciprocal_points, params.embed_dim)[0]
 
 
 def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -127,15 +127,13 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
             if config.dropout_rate > 0.0:
                 masks = _dropout_masks(rng, idx.size, config.hidden_dims, config.dropout_rate)
             try:
-                breakdown, root, leaves = losses.total_loss(params, x[idx], y[idx], config, masks)
-                grads = ad.gradient(root, leaves.values())
+                breakdown, grads = losses.loss_and_grads(params, x[idx], y[idx], config, masks)
             except ad.NonFiniteError as e:
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}: {e}"
                 ) from e
-            gmap = {name: grads[leaf] for name, leaf in leaves.items()}
             values, state = adam_step(
-                values, gmap, state, config.lr,
+                values, grads, state, config.lr,
                 config.adam_beta1, config.adam_beta2, config.adam_eps,
             )
             params = params.with_values(values)

@@ -42,12 +42,6 @@ def test_relu_subgradient_zero_at_kink():
     assert ad.gradient(ad.relu(x), [x])[x] == 0.0
 
 
-def test_max_ties_route_to_first():
-    x = ad.parameter(np.array([1.0, 3.0, 3.0]))
-    g = ad.gradient(ad.reduce_max(x), [x])
-    assert np.array_equal(g[x], [0.0, 1.0, 0.0])
-
-
 def test_matmul_shape_error_names_op():
     with pytest.raises(ad.ShapeError, match="matmul"):
         ad.matmul(ad.constant(np.ones((2, 3))), ad.constant(np.ones((2, 3))))
@@ -113,7 +107,7 @@ def test_gradient_linearity(rng):
 # finite-difference checks of every supported op
 #
 # Random inputs in [-2, 2] (domain-restricted for sqrt/div), resampled
-# away from ReLU/clamp kinks and max ties; analytic vs central
+# away from ReLU/clamp kinks; analytic vs central
 # differences with relative error < 1e-6.
 
 KINK_GAP = 1e-4
@@ -133,11 +127,8 @@ def _op_cases(rng):
     m2 = rng.uniform(-2, 2, size=(5, 2))
     relu_in = _away_from(rng.uniform(-2, 2, size=(4, 3)), 0.0)
     clamp_in = _away_from(rng.uniform(-2, 2, size=(4, 3)), 0.5)
-    # distinct values => no max ties
-    max_in = rng.permutation(np.linspace(-2, 2, 12)).reshape(4, 3)
     logits = rng.uniform(-2, 2, size=(4, 3))
     labels = rng.integers(0, 3, size=4)
-    vec = rng.uniform(-2, 2, size=(6,))
 
     return [
         ("add_broadcast", lambda t: ad.add(t[0], t[1]), [a, bias]),
@@ -155,11 +146,7 @@ def _op_cases(rng):
         ("sum_axis", lambda t: ad.reduce_sum(t[0], axis=1, keepdims=True), [a]),
         ("mean_all", lambda t: ad.reduce_mean(t[0]), [a]),
         ("mean_axis", lambda t: ad.reduce_mean(t[0], axis=0), [a]),
-        ("max_all", lambda t: ad.reduce_max(t[0]), [max_in]),
-        ("max_axis", lambda t: ad.reduce_max(t[0], axis=1), [max_in]),
         ("softmax_ce", lambda t: ad.softmax_cross_entropy(t[0], labels), [logits]),
-        ("l2_norm", lambda t: ad.l2_norm(t[0], axis=1), [a]),
-        ("dot", lambda t: ad.dot(t[0], t[1]), [vec, vec + 0.25]),
         ("dropout_mask", lambda t: ad.mul(t[0], (np.arange(12.0).reshape(4, 3) % 2) * 2.0), [a]),
     ]
 

@@ -260,6 +260,17 @@ def test_score_schema_mismatch_lists_columns(workspace, capsys):
     assert "f2" in err and "f3" in err and "wrong" in err
 
 
+def test_score_rejects_duplicated_columns(workspace, capsys):
+    run_train(workspace)
+    run_calibrate(workspace)
+    dup = workspace["dir"] / "dup.csv"
+    dup.write_text("f0,f1,f2,f3,f1\n1.0,2.0,3.0,4.0,5.0\n")
+    rc = main(["score", "--bundle", workspace["calibrated"], "--data", str(dup),
+               "--out", str(workspace["dir"] / "scored.csv")])
+    assert rc == 1
+    assert "duplicated columns: f1;" in capsys.readouterr().err
+
+
 def test_score_deterministic_bytes(workspace):
     run_train(workspace)
     run_calibrate(workspace)

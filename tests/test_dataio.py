@@ -206,6 +206,26 @@ def test_load_csv_skips_utf8_bom(tmp_path):
     assert ds.labels == ("a",)
 
 
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("a,a,label\n1,2,x\n3,4,y\n", "a"),
+        ("a,b,a,b,label\n1,2,3,4,x\n", "a, b"),
+        ("a,label,label\n1,x,y\n", "label"),
+    ],
+)
+def test_load_csv_rejects_duplicated_columns(tmp_path, text, named):
+    path = write(tmp_path / "dup.csv", text)
+    with pytest.raises(dio.SchemaError, match=f"duplicated columns: {named};"):
+        dio.load_csv(path)
+
+
+def test_load_csv_ignores_duplicates_it_does_not_read(tmp_path):
+    path = write(tmp_path / "dup.csv", "a,b,b,label\n1,2,3,x\n")
+    ds, _ = dio.load_csv(path, feature_names=["a"])
+    assert np.array_equal(ds.features, [[1.0]])
+
+
 # ---------------------------------------------------------------------------
 # scaler
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,51 @@ def test_total_gradient_with_dropout_masks(rng):
     numeric = finite_difference(value, [tr[n] for n in names])
     for name, num in zip(names, numeric):
         assert max_rel_err(analytic[leaves[name]], num) < 1e-6, name
+
+
+# ---------------------------------------------------------------------------
+# the fused training step against the tape, bit for bit
+
+
+def tape_step(params, x, y, cfg, masks=None):
+    bd, root, leaves = ls.total_loss(params, x, y, cfg, dropout_masks=masks)
+    grads = ad.gradient(root, leaves.values())
+    return bd, {name: grads[leaf] for name, leaf in leaves.items()}
+
+
+def breakdown_bytes(bd):
+    return np.array(dataclasses.astuple(bd), dtype=np.float64).tobytes()
+
+
+FUSED_CASES = {
+    "plain": {},
+    "dropout": {"dropout": True},
+    "fisher_weight_zero": {"cfg": {"fisher_weight": 0.0}},
+    "logit_scale": {"cfg": {"logit_scale": 3.5}},
+    "batch_of_one": {"n": 1},
+    "classes_missing_from_batch": {"k": 5, "labels_below": 2},
+    "single_class": {"k": 1},
+}
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_step_is_bit_identical_to_tape(case, rng):
+    spec = FUSED_CASES[case]
+    for _ in range(10):
+        h1, h2, m, d = (int(v) for v in rng.integers(1, 12, size=4))
+        n, k = spec.get("n", int(rng.integers(2, 40))), spec.get("k", 3)
+        cfg = small_config(hidden_dims=(h1, h2), embed_dim=m, **spec.get("cfg", {}))
+        params = mdl.init_params(d, [f"c{i}" for i in range(k)], cfg, rng)
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, spec.get("labels_below", k), size=n)
+        masks = None
+        if spec.get("dropout"):
+            masks = tuple((rng.random((n, h)) < 0.6) / 0.6 for h in (h1, h2))
+
+        bd, grads = ls.loss_and_grads(params, x, y, cfg, masks)
+        ref_bd, ref = tape_step(params, x, y, cfg, masks)
+        assert breakdown_bytes(bd) == breakdown_bytes(ref_bd)
+        assert list(grads) == list(mdl.PARAM_NAMES)
+        for name in mdl.PARAM_NAMES:
+            assert grads[name].shape == ref[name].shape, name
+            assert grads[name].tobytes() == ref[name].tobytes(), name

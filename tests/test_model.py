@@ -123,6 +123,36 @@ def test_batch_distances_match_pairwise_reference(rng):
             assert got[i, k] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 1, 37])
+def test_inference_is_bit_identical_to_tape(n, rng):
+    cfg = small_config()
+    p = mdl.init_params(5, ["a", "b", "c"], cfg, rng)
+    b1 = -np.abs(rng.normal(size=8))
+    b1[0] = -0.0
+    p = p.with_values(dict(p.trainable(), b1=b1, b2=rng.normal(size=6), b3=rng.normal(size=4)))
+    x = rng.normal(size=(n, 5))
+    if n:
+        x[0] = -0.0  # every layer-1 pre-activation of this row is <= 0
+
+    leaves = mdl.as_leaves(p)
+    z = mdl.embed_graph(leaves, ad.constant(x))
+    dist = mdl.distance_graph(leaves, z, p.embed_dim)
+    got_z, got_dist = mdl.embed(p, x), mdl.class_distances(p, x)
+    assert got_z.shape == z.value.shape and got_z.tobytes() == z.value.tobytes()
+    assert got_dist.shape == (n, 3) and got_dist.tobytes() == dist.value.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "row", [[-1e308, 1.0], [1e200, 1e200]], ids=["layer_1_minus_inf_masked_by_relu", "distance_overflow"]
+)
+def test_class_distances_overflow_raises(row):
+    p = identity_params(2, ["a"], [[1.0, 1.0]])
+    p = p.with_values(dict(p.trainable(), W1=2.0 * np.eye(2)))
+    with pytest.raises(ad.NonFiniteError):
+        mdl.class_distances(p, np.array([row]))
+
+
 # ---------------------------------------------------------------------------
 # logits
 
@@ -196,7 +226,8 @@ def test_init_is_finite_and_shaped(rng):
 
 
 def _inference_pass(params, x, y, cfg):
-    mdl.class_distances(params, x)
+    leaves = mdl.as_leaves(params)
+    mdl.distance_graph(leaves, mdl.embed_graph(leaves, ad.constant(x)), params.embed_dim)
 
 
 def _training_step(params, x, y, cfg):

@@ -131,6 +131,20 @@ def test_divergence_aborts_with_location():
         train(data.features, data.labels, cfg)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_masked_by_relu_still_aborts():
+    """A layer-1 pre-activation of -inf aborts training, although ReLU
+    would turn it into a finite 0."""
+    cfg = tiny_config(hidden_dims=(1, 4), epochs=1, batch_size=64)
+    w = mdl.init_params(16, ("neg", "pos"), cfg, np.random.default_rng(cfg.seed)).weights[0][:, 0]
+    assert np.abs(w).sum() > 1.0  # so the row below overflows
+    x = np.random.default_rng(1).normal(size=(20, 16))
+    x[3] = -np.sign(w) * np.finfo(np.float64).max  # every product is negative
+    labels = ["pos", "neg"] * 10
+    with pytest.raises(TrainingDivergedError, match=r"epoch 0, batch 0: layer 1"):
+        train(x, labels, cfg)
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         train(np.zeros((0, 3)), [], tiny_config())
