@@ -8,6 +8,7 @@ for identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -40,7 +41,7 @@ class CliError(ValueError):
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -206,7 +207,39 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _write_scored_block(writer, bundle, header, rows):
+    """Score one block of raw rows and write the kept ones with the three
+    appended columns; returns (rows_scored, rows_dropped)."""
+    features, kept_idx, dropped = dataio.extract_features(header, rows, bundle.feature_names)
+    scored = osr.detect(osr.score(bundle.params, bundle.scaler.transform(features)), bundle.threshold)
+    class_names = bundle.params.class_names
+    predicted = [class_names[k] for k in scored.predicted.tolist()]
+    scores = [repr(s) for s in scored.scores.tolist()]
+    unknown = ["true" if u else "false" for u in scored.is_unknown.tolist()]
+    writer.writerows(
+        rows[i] + [label, score, flag] for i, label, score, flag in zip(kept_idx, predicted, scores, unknown)
+    )
+    return len(kept_idx), dropped
+
+
+@contextlib.contextmanager
+def _atomic_output(path):
+    """A text file that replaces ``path`` only once the ``with`` body has
+    finished; on any error it is removed and ``path`` stays as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def cmd_score(args) -> int:
+    """Score ``--data`` block by block (``dataio.BLOCK_ROWS`` raw rows at a
+    time), so memory does not grow with the file."""
     started = time.time()
     bundle = dataio.load_bundle(args.bundle)
     if bundle.threshold is None:
@@ -214,31 +247,29 @@ def cmd_score(args) -> int:
             "bundle has no rejection threshold, so unknown detection is impossible; "
             "run `rpmnet calibrate` and score with the calibrated bundle"
         )
-    header, rows = dataio.read_csv_rows(args.data)
-    missing = [c for c in bundle.feature_names if c not in header]
-    if missing:
-        extra = [c for c in header if c not in bundle.feature_names and c != bundle.label_column]
-        msg = "input schema does not match the bundle; missing columns: " + ", ".join(missing)
-        if extra:
-            msg += "; extra columns: " + ", ".join(extra)
-        raise dataio.SchemaError(msg)
-    features, kept_idx, dropped = dataio.extract_features(header, rows, bundle.feature_names)
+    if os.path.abspath(args.out) == os.path.abspath(args.data):
+        raise CliError("--out must differ from --data; score never rewrites its input in place")
+    rows_scored = dropped = 0
+    with contextlib.closing(dataio.iter_csv_blocks(args.data)) as blocks:
+        header = next(blocks)
+        missing = [c for c in bundle.feature_names if c not in header]
+        if missing:
+            extra = [c for c in header if c not in bundle.feature_names and c != bundle.label_column]
+            msg = "input schema does not match the bundle; missing columns: " + ", ".join(missing)
+            if extra:
+                msg += "; extra columns: " + ", ".join(extra)
+            raise dataio.SchemaError(msg)
+        dataio.reject_duplicates(header, bundle.feature_names)
+        with _atomic_output(args.out) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header + ["predicted_label", "score", "is_unknown"])
+            for rows in blocks:
+                kept, n_dropped = _write_scored_block(writer, bundle, header, rows)
+                rows_scored += kept
+                dropped += n_dropped
+                del rows  # free this block before the reader builds the next one
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", args.data, dropped)
-    scored = osr.detect(osr.score(bundle.params, bundle.scaler.transform(features)), bundle.threshold)
-    class_names = bundle.params.class_names
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header + ["predicted_label", "score", "is_unknown"])
-        for j, i in enumerate(kept_idx):
-            writer.writerow(
-                rows[i]
-                + [
-                    class_names[scored.predicted[j]],
-                    repr(float(scored.scores[j])),
-                    "true" if scored.is_unknown[j] else "false",
-                ]
-            )
     _write_manifest(
         args.out,
         "score",
@@ -247,9 +278,9 @@ def cmd_score(args) -> int:
         {"bundle": args.bundle, "data": args.data},
         {"scored": args.out},
         started,
-        extra={"rows_scored": len(kept_idx), "dropped_rows": dropped},
+        extra={"rows_scored": rows_scored, "dropped_rows": dropped},
     )
-    print(f"scored {len(kept_idx)} rows ({dropped} dropped) -> {args.out}")
+    print(f"scored {rows_scored} rows ({dropped} dropped) -> {args.out}")
     return 0
 
 

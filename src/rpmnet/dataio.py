@@ -40,7 +40,10 @@ __all__ = [
     "ClassRoles",
     "OpenSetSplit",
     "BUNDLE_FORMAT",
+    "BLOCK_ROWS",
+    "iter_csv_blocks",
     "read_csv_rows",
+    "reject_duplicates",
     "extract_features",
     "load_csv",
     "save_csv",
@@ -61,6 +64,8 @@ ROLE_TEST_UNKNOWN = "test_unknown"
 ROLES = (ROLE_KNOWN, ROLE_VALIDATION_UNKNOWN, ROLE_TEST_UNKNOWN)
 
 BUNDLE_FORMAT = "rpmnet-bundle/1"
+# raw CSV rows per block that ``iter_csv_blocks`` yields
+BLOCK_ROWS = 1024
 _MAGIC = b"RPMB"
 
 
@@ -122,20 +127,33 @@ class FlowDataset:
 # CSV ingestion
 
 
-def read_csv_rows(path):
-    """Header and raw string rows of a CSV file (RFC-4180 style, UTF-8;
-    a leading byte-order mark is skipped)."""
+def iter_csv_blocks(path):
+    """Yield the header of a CSV file (RFC-4180 style, UTF-8; a leading
+    byte-order mark is skipped), then its raw string rows in lists of at
+    most ``BLOCK_ROWS``.  Blank rows are skipped.  The generator keeps no
+    reference to a block it has yielded, so a caller that drops each
+    block holds one block of the file at a time."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyDatasetError(f"{path}: file has no header row") from None
-        rows = [row for row in reader if row]
-    return [h.strip() for h in header], rows
+        yield [h.strip() for h in header]
+        rows = filter(None, reader)
+        for first in rows:
+            yield [first, *itertools.islice(rows, BLOCK_ROWS - 1)]
 
 
-def _reject_duplicates(header, names) -> None:
+def read_csv_rows(path):
+    """Header and every raw string row of a CSV file, as read by
+    ``iter_csv_blocks``."""
+    blocks = iter_csv_blocks(path)
+    header = next(blocks)
+    return header, list(itertools.chain.from_iterable(blocks))
+
+
+def reject_duplicates(header, names) -> None:
     """Raise SchemaError naming every one of ``names`` that the header
     holds more than once, since reading it would pick one copy silently."""
     counts = collections.Counter(header)
@@ -167,7 +185,7 @@ def extract_features(header, rows, feature_names):
             missing.append(name)
     if missing:
         raise SchemaError(f"missing columns: {', '.join(missing)}")
-    _reject_duplicates(header, feature_names)
+    reject_duplicates(header, feature_names)
 
     cells_of = operator.itemgetter(*positions) if positions else (lambda row: ())
     features = np.empty((len(rows), len(positions)), dtype=np.float64)
@@ -199,7 +217,7 @@ def load_csv(path, feature_names=None, label_column: str = "label", allow_empty:
     if feature_names is None:
         feature_names = [h for h in header if h != label_column]
     feature_names = list(feature_names)
-    _reject_duplicates(header, feature_names + [label_column])
+    reject_duplicates(header, feature_names + [label_column])
 
     features, kept_idx, dropped = extract_features(header, rows, feature_names)
     if dropped:

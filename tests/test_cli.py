@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,11 +265,13 @@ def test_score_rejects_duplicated_columns(workspace, capsys):
     run_train(workspace)
     run_calibrate(workspace)
     dup = workspace["dir"] / "dup.csv"
-    dup.write_text("f0,f1,f2,f3,f1\n1.0,2.0,3.0,4.0,5.0\n")
-    rc = main(["score", "--bundle", workspace["calibrated"], "--data", str(dup),
-               "--out", str(workspace["dir"] / "scored.csv")])
-    assert rc == 1
-    assert "duplicated columns: f1;" in capsys.readouterr().err
+    out = workspace["dir"] / "scored.csv"
+    for body in ("1.0,2.0,3.0,4.0,5.0\n", ""):  # the header alone is checked too
+        dup.write_text("f0,f1,f2,f3,f1\n" + body)
+        rc = main(["score", "--bundle", workspace["calibrated"], "--data", str(dup), "--out", str(out)])
+        assert rc == 1
+        assert "duplicated columns: f1;" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_score_deterministic_bytes(workspace):
@@ -288,3 +291,94 @@ def test_commands_do_not_mutate_inputs(workspace):
     main(["eval", "--bundle", workspace["calibrated"], "--data", workspace["data"],
           "--roles", workspace["roles"], "--report", workspace["report"]])
     assert (workspace["dir"] / "flows.csv").read_bytes() == before
+
+
+def test_score_refuses_in_place(workspace, capsys):
+    run_train(workspace)
+    run_calibrate(workspace)
+    before = (workspace["dir"] / "flows.csv").read_bytes()
+    rc = main(["score", "--bundle", workspace["calibrated"], "--data", workspace["data"],
+               "--out", workspace["data"]])
+    assert rc == 1
+    assert "--out must differ from --data" in capsys.readouterr().err
+    assert (workspace["dir"] / "flows.csv").read_bytes() == before
+
+
+def _score(ws, data, out):
+    return main(["score", "--bundle", ws["calibrated"], "--data", str(data), "--out", str(out)])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_score_failure_leaves_no_partial_output(workspace, monkeypatch, capsys):
+    """A block that fails after earlier blocks were written leaves --out
+    as it was (absent, or the previous file) and no temporary file."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 64)
+    bad = workspace["dir"] / "overflow.csv"
+    bad.write_text((workspace["dir"] / "flows.csv").read_text() + "1.7e308,1.7e308,1.7e308,1.7e308,dos\n")
+    out = workspace["dir"] / "scored.csv"
+    listing = set(workspace["dir"].iterdir())
+
+    assert _score(workspace, bad, out) == 1
+    assert "NaN or Inf" in capsys.readouterr().err
+    assert set(workspace["dir"].iterdir()) == listing
+
+    out.write_bytes(b"previous output\n")
+    assert _score(workspace, bad, out) == 1
+    assert out.read_bytes() == b"previous output\n"
+    assert set(workspace["dir"].iterdir()) == listing | {out}
+
+
+def test_score_blocks_match_whole_file(workspace, monkeypatch, caplog):
+    """Blocks of 7 rows, with dirty rows spread over several blocks and one
+    block in which every row drops, give the whole-file run's rows, labels
+    and counts; scores agree to 1e-12 (small matmuls may round differently)."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    header, *lines = (workspace["dir"] / "flows.csv").read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]  # NaN, block 0
+    lines[40] = "," + lines[40].split(",", 1)[1]  # empty cell, block 5
+    lines[100] = lines[100].rsplit(",", 1)[0]  # ragged row, block 14
+    for i in range(140, 147):  # all of block 20 drops
+        lines[i] = "inf," + lines[i].split(",", 1)[1]
+    lines.insert(200, "")  # a blank line is skipped, not dropped
+    dirty = workspace["dir"] / "dirty.csv"
+    dirty.write_text("\n".join([header, *lines]) + "\n")
+
+    whole, blocked = workspace["dir"] / "whole.csv", workspace["dir"] / "blocked.csv"
+    assert _score(workspace, dirty, whole) == 0
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 7)
+    caplog.clear()
+    assert _score(workspace, dirty, blocked) == 0
+    assert sum("dropped 10 rows" in r.getMessage() for r in caplog.records) == 1
+    assert sum("dropped" in r.getMessage() for r in caplog.records) == 1
+
+    (wh, w_rows), (bh, b_rows) = dio.read_csv_rows(whole), dio.read_csv_rows(blocked)
+    assert wh == bh and len(w_rows) == len(b_rows) == 270
+    assert [r[:5] for r in b_rows] == [r[:5] for r in w_rows]
+    assert [(r[5], r[7]) for r in b_rows] == [(r[5], r[7]) for r in w_rows]
+    np.testing.assert_allclose([float(r[6]) for r in b_rows], [float(r[6]) for r in w_rows], rtol=1e-12, atol=0)
+    for path in (whole, blocked):
+        manifest = json.loads((workspace["dir"] / f"{path.name}.manifest.json").read_text())
+        assert (manifest["rows_scored"], manifest["dropped_rows"]) == (270, 10)
+
+
+def test_score_memory_does_not_grow_with_file(workspace, tmp_path):
+    """The traced peak of scoring a file 8 blocks long stays near that of
+    a one-block file: score holds one block at a time."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    header, *lines = (workspace["dir"] / "flows.csv").read_text().splitlines()
+    peaks = []
+    for blocks in (1, 8):
+        data = tmp_path / f"{blocks}_blocks.csv"
+        n = blocks * dio.BLOCK_ROWS
+        data.write_text("\n".join([header, *(lines[i % len(lines)] for i in range(n))]) + "\n")
+        tracemalloc.start()
+        try:
+            assert _score(workspace, data, tmp_path / f"{blocks}_blocks.scored.csv") == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
