@@ -46,6 +46,25 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _refuse_in_place(args, out_flag, in_flags, suffixes=("", ".manifest.json")) -> None:
+    """Raise CliError if a file the command writes, ``--<out_flag>`` plus
+    each of ``suffixes``, is one of the inputs named by ``in_flags``."""
+    out = str(getattr(args, out_flag))
+    for suffix in suffixes:
+        for flag in in_flags:
+            path = getattr(args, flag)
+            if path is not None and _same_file(out + suffix, path):
+                target = f"--{out_flag}" + (f" + {suffix!r}" if suffix else "")
+                raise CliError(f"{target} must differ from --{flag}; rpmnet never rewrites an input in place")
+
+
 def _write_manifest(out_path, command, config, seed, inputs, outputs, started, extra=None):
     manifest = {
         "command": command,
@@ -71,9 +90,8 @@ def _load_train_config(path, seed_override) -> TrainConfig:
     if path:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    if seed_override is not None:
-        raw["seed"] = seed_override
-    return TrainConfig.from_dict(raw)
+    config = TrainConfig.from_dict(raw)
+    return config if seed_override is None else replace(config, seed=seed_override)
 
 
 def _load_split(data_path, roles, feature_names, label_column, seed):
@@ -98,6 +116,7 @@ def _label_indices(labels, class_names) -> np.ndarray:
 
 def cmd_train(args) -> int:
     started = time.time()
+    _refuse_in_place(args, "out", ("data", "roles", "config"), ("", ".history.txt", ".manifest.json"))
     config = _load_train_config(args.config, args.seed)
     roles = dataio.load_roles(args.roles)
     dataset, split, dropped = _load_split(
@@ -138,9 +157,8 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
+    _refuse_in_place(args, "out", ("bundle", "data", "roles"))
     bundle = dataio.load_bundle(args.bundle)
-    if os.path.abspath(args.out) == os.path.abspath(args.bundle):
-        raise CliError("--out must differ from --bundle; calibrate never rewrites a bundle in place")
     roles = dataio.load_roles(args.roles)
     _, split, _ = _load_split(
         args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed
@@ -171,6 +189,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
+    _refuse_in_place(args, "report", ("bundle", "data", "roles"))
     bundle = dataio.load_bundle(args.bundle)
     if bundle.threshold is None:
         raise CliError("bundle has no rejection threshold; run `rpmnet calibrate` first")
@@ -207,7 +226,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _write_scored_block(writer, bundle, header, rows):
+def _write_row(fh, writer, cells) -> None:
+    """Write one row of str cells to ``fh`` with the bytes of
+    ``writer.writerow(cells)``, where ``writer`` is ``csv.writer(fh)`` in
+    the default dialect and the row has at least two cells.  That writer
+    quotes a cell only if it holds a comma, a double quote, CR or LF; a
+    row with none of these is written as one joined line, and any other
+    row goes through ``writer``."""
+    line = ",".join(cells)
+    if line.count(",") == len(cells) - 1 and not ('"' in line or "\r" in line or "\n" in line):
+        fh.write(line + "\r\n")
+    else:
+        writer.writerow(cells)
+
+
+def _write_scored_block(fh, writer, bundle, header, rows):
     """Score one block of raw rows and write the kept ones with the three
     appended columns; returns (rows_scored, rows_dropped)."""
     features, kept_idx, dropped = dataio.extract_features(header, rows, bundle.feature_names)
@@ -216,9 +249,8 @@ def _write_scored_block(writer, bundle, header, rows):
     predicted = [class_names[k] for k in scored.predicted.tolist()]
     scores = [repr(s) for s in scored.scores.tolist()]
     unknown = ["true" if u else "false" for u in scored.is_unknown.tolist()]
-    writer.writerows(
-        rows[i] + [label, score, flag] for i, label, score, flag in zip(kept_idx, predicted, scores, unknown)
-    )
+    for i, label, score, flag in zip(kept_idx, predicted, scores, unknown):
+        _write_row(fh, writer, rows[i] + [label, score, flag])
     return len(kept_idx), dropped
 
 
@@ -241,14 +273,13 @@ def cmd_score(args) -> int:
     """Score ``--data`` block by block (``dataio.BLOCK_ROWS`` raw rows at a
     time), so memory does not grow with the file."""
     started = time.time()
+    _refuse_in_place(args, "out", ("bundle", "data"))
     bundle = dataio.load_bundle(args.bundle)
     if bundle.threshold is None:
         raise CliError(
             "bundle has no rejection threshold, so unknown detection is impossible; "
             "run `rpmnet calibrate` and score with the calibrated bundle"
         )
-    if os.path.abspath(args.out) == os.path.abspath(args.data):
-        raise CliError("--out must differ from --data; score never rewrites its input in place")
     rows_scored = dropped = 0
     with contextlib.closing(dataio.iter_csv_blocks(args.data)) as blocks:
         header = next(blocks)
@@ -264,7 +295,7 @@ def cmd_score(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(header + ["predicted_label", "score", "is_unknown"])
             for rows in blocks:
-                kept, n_dropped = _write_scored_block(writer, bundle, header, rows)
+                kept, n_dropped = _write_scored_block(fh, writer, bundle, header, rows)
                 rows_scored += kept
                 dropped += n_dropped
                 del rows  # free this block before the reader builds the next one

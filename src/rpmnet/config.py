@@ -57,11 +57,31 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        """Build a config from parsed JSON.  Values are checked, not
+        coerced: an int field takes an int, a float field an int or a
+        float (kept as given), ``hidden_dims`` a list of two ints; a bool
+        is neither.  Anything else is a ValueError naming the key."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
+        known = {f.name: type(f.default) for f in fields(cls)}
+        unknown = sorted(set(d) - set(known))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in d.items():
+            if known[key] is int:
+                ok, want = _is_int(value), "an integer"
+            elif known[key] is float:
+                ok, want = _is_int(value) or isinstance(value, float), "a number"
+            else:
+                ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_int, value))
+                want = "a list of two integers"
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {want}, got {value!r}")
         d = dict(d)
         if "hidden_dims" in d:
             d["hidden_dims"] = tuple(d["hidden_dims"])
         return cls(**d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

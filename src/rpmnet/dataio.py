@@ -132,17 +132,21 @@ def iter_csv_blocks(path):
     byte-order mark is skipped), then its raw string rows in lists of at
     most ``BLOCK_ROWS``.  Blank rows are skipped.  The generator keeps no
     reference to a block it has yielded, so a caller that drops each
-    block holds one block of the file at a time."""
+    block holds one block of the file at a time.  A line ``csv`` cannot
+    parse (such as a cell over its field size limit) is a SchemaError
+    naming the file and line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file has no header row") from None
-        yield [h.strip() for h in header]
-        rows = filter(None, reader)
-        for first in rows:
-            yield [first, *itertools.islice(rows, BLOCK_ROWS - 1)]
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: file has no header row")
+            yield [h.strip() for h in header]
+            rows = filter(None, reader)
+            for first in rows:
+                yield [first, *itertools.islice(rows, BLOCK_ROWS - 1)]
+        except csv.Error as e:
+            raise SchemaError(f"{path}: line {reader.line_num}: {e}") from None
 
 
 def read_csv_rows(path):

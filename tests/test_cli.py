@@ -1,11 +1,16 @@
+import csv
+import io
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rpmnet.dataio as dio
-from rpmnet.cli import main
+from rpmnet.cli import _write_row, main
 from rpmnet.synthetic import gaussian_clusters
 
 
@@ -382,3 +387,155 @@ def test_score_memory_does_not_grow_with_file(workspace, tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+# each command's input flags and the workspace files they name
+COMMAND_INPUTS = {
+    "train": {"data": "data", "roles": "roles", "config": "config"},
+    "calibrate": {"bundle": "bundle", "data": "data", "roles": "roles"},
+    "eval": {"bundle": "calibrated", "data": "data", "roles": "roles"},
+    "score": {"bundle": "calibrated", "data": "data"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, out_flag, in_flag, suffix",
+    [
+        ("train", "out", "data", ""),
+        ("train", "out", "roles", ""),
+        ("train", "out", "config", ".history.txt"),
+        ("train", "out", "data", ".manifest.json"),
+        ("calibrate", "out", "bundle", ""),
+        ("calibrate", "out", "data", ""),
+        ("calibrate", "out", "roles", ".manifest.json"),
+        ("eval", "report", "data", ""),
+        ("eval", "report", "bundle", ""),
+        ("eval", "report", "roles", ".manifest.json"),
+        ("score", "out", "data", ""),
+        ("score", "out", "bundle", ""),
+        ("score", "out", "data", ".manifest.json"),
+    ],
+)
+def test_commands_refuse_to_overwrite_inputs(workspace, capsys, command, out_flag, in_flag, suffix):
+    """An output, or the history or manifest file written next to it, that
+    names an input gives rc 1 and leaves that input byte-identical."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    inputs = {flag: workspace[key] for flag, key in COMMAND_INPUTS[command].items()}
+    out = workspace["dir"] / "victim"
+    victim = workspace["dir"] / f"victim{suffix}"
+    shutil.copyfile(inputs[in_flag], victim)
+    inputs[in_flag] = str(victim)
+    before = victim.read_bytes()
+    argv = [command, *(a for flag, path in inputs.items() for a in (f"--{flag}", path)), f"--{out_flag}", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"must differ from --{in_flag}; rpmnet never rewrites an input in place" in err
+    assert victim.read_bytes() == before
+
+
+def test_output_through_a_symlink_to_an_input_is_refused(workspace, capsys):
+    link = workspace["dir"] / "link.csv"
+    link.symlink_to(workspace["data"])
+    before = (workspace["dir"] / "flows.csv").read_bytes()
+    assert run_train(workspace, out=str(link)) == 1
+    assert "--out must differ from --data" in capsys.readouterr().err
+    assert (workspace["dir"] / "flows.csv").read_bytes() == before
+
+
+def _with_oversized_cell(ws, line_no):
+    """The fixture CSV with the cell f1 of data line ``line_no`` (1-based
+    file line) longer than csv's default field size limit."""
+    lines = (ws["dir"] / "flows.csv").read_text().splitlines()
+    cells = lines[line_no - 1].split(",")
+    cells[1] = "1" * (csv.field_size_limit() + 1)
+    lines[line_no - 1] = ",".join(cells)
+    path = ws["dir"] / "huge.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_train_oversized_cell_names_file_and_line(workspace, capsys):
+    data = _with_oversized_cell(workspace, 50)
+    rc = main(["train", "--data", str(data), "--roles", workspace["roles"], "--config", workspace["config"],
+               "--out", workspace["bundle"]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"{data}: line 50: field larger than field limit" in err
+    assert not (workspace["dir"] / "model.bundle").exists()
+
+
+def test_score_oversized_cell_names_file_and_line(workspace, monkeypatch, capsys):
+    """The bad line sits in the third block, after two blocks were written;
+    score leaves no --out and no temporary file."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 64)
+    data = _with_oversized_cell(workspace, 150)
+    out = workspace["dir"] / "scored.csv"
+    listing = set(workspace["dir"].iterdir())
+    assert _score(workspace, data, out) == 1
+    assert f"{data}: line 150: field larger than field limit" in capsys.readouterr().err
+    assert set(workspace["dir"].iterdir()) == listing
+
+
+CSV_CELL = st.text(
+    st.one_of(st.sampled_from(',"\r\n \t'), st.characters(blacklist_categories=("Cs",))), max_size=6
+)
+
+
+@given(st.lists(CSV_CELL, min_size=4, max_size=8))
+@example(["1.5", "", "BENIGN", "0.25"])
+@example(["a,b", 'say "hi"', "x\r\ny", ""])
+@settings(max_examples=300, deadline=None)
+def test_write_row_matches_csv_writer(cells):
+    fast, ref = io.StringIO(newline=""), io.StringIO(newline="")
+    _write_row(fast, csv.writer(fast), cells)
+    csv.writer(ref).writerow(cells)
+    assert fast.getvalue() == ref.getvalue()
+
+
+def test_score_quoted_cells_match_csv_writer(workspace):
+    """Passthrough cells that need quoting (a comma, a doubled quote, an
+    embedded newline) and a class name with a comma give exactly the bytes
+    csv.writer writes for the same cells."""
+    header, rows = dio.read_csv_rows(workspace["data"])
+    renamed = [r[:4] + ["dos, syn" if r[4] == "dos" else r[4]] for r in rows]
+    train_csv = workspace["dir"] / "comma_class.csv"
+    with open(train_csv, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *renamed])
+    roles = workspace["dir"] / "comma_roles.json"
+    roles.write_text(json.dumps({"known": ["dos, syn", "scan", "bruteforce"],
+                                 "validation_unknown": ["nov_val"], "test_unknown": ["nov_test"]}))
+    bundle, calibrated = workspace["dir"] / "c.bundle", workspace["dir"] / "c.cal.bundle"
+    assert main(["train", "--data", str(train_csv), "--roles", str(roles), "--config", workspace["config"],
+                 "--out", str(bundle)]) == 0
+    assert main(["calibrate", "--bundle", str(bundle), "--data", str(train_csv), "--roles", str(roles),
+                 "--out", str(calibrated)]) == 0
+
+    notes = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "", "é ü"]
+    in_header = header + ["note"]
+    in_rows = [r + [notes[i % len(notes)]] for i, r in enumerate(renamed)]
+    data = workspace["dir"] / "quoted.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([in_header, *in_rows])
+    out = workspace["dir"] / "quoted.scored.csv"
+    assert main(["score", "--bundle", str(calibrated), "--data", str(data), "--out", str(out)]) == 0
+
+    out_header, out_rows = dio.read_csv_rows(out)
+    assert out_header == in_header + ["predicted_label", "score", "is_unknown"]
+    assert len(out_rows) == len(in_rows)
+    assert "dos, syn" in {r[-3] for r in out_rows}
+    reference = io.StringIO(newline="")
+    csv.writer(reference).writerows([out_header, *(r + o[-3:] for r, o in zip(in_rows, out_rows))])
+    assert out.read_bytes() == reference.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
+    config = workspace["dir"] / "list.json"
+    config.write_text("[1]")
+    argv = ["train", "--data", workspace["data"], "--roles", workspace["roles"], "--config", str(config),
+            "--out", workspace["bundle"]]
+    assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 1
+    assert "config must be a JSON object, not list" in capsys.readouterr().err

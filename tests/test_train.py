@@ -25,6 +25,49 @@ def blob_data(seed=5, n=100):
 
 
 # ---------------------------------------------------------------------------
+# config
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([1], "config must be a JSON object, not list"),
+        ({"epochs": "8"}, "config key 'epochs' must be an integer, got '8'"),
+        ({"epochs": 1.5}, "config key 'epochs' must be an integer, got 1.5"),
+        ({"seed": True}, "config key 'seed' must be an integer, got True"),
+        ({"lr": "0.01"}, "config key 'lr' must be a number, got '0.01'"),
+        ({"fisher_weight": False}, "config key 'fisher_weight' must be a number, got False"),
+        ({"dropout_rate": None}, "config key 'dropout_rate' must be a number, got None"),
+        ({"hidden_dims": [32]}, "config key 'hidden_dims' must be a list of two integers, got [32]"),
+        ({"hidden_dims": [32, 16.0]}, "config key 'hidden_dims' must be a list of two integers"),
+        ({"hidden_dims": [32, True]}, "config key 'hidden_dims' must be a list of two integers"),
+        ({"hidden_dims": "32,16"}, "config key 'hidden_dims' must be a list of two integers"),
+    ],
+)
+def test_config_from_dict_rejects_wrong_value_types(raw, message):
+    with pytest.raises(ValueError) as info:
+        TrainConfig.from_dict(raw)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "raw, key, stored",
+    [
+        ({"fisher_weight": 0}, "fisher_weight", 0),
+        ({"lr": 1}, "lr", 1),
+        ({"lr": 0.01}, "lr", 0.01),
+        ({"epochs": 8}, "epochs", 8),
+        ({"hidden_dims": [32, 16]}, "hidden_dims", [32, 16]),
+    ],
+)
+def test_config_from_dict_stores_values_as_given(raw, key, stored):
+    """Ints in float fields are kept, not coerced, so a bundle's config
+    section has the same bytes as before."""
+    value = TrainConfig.from_dict(raw).to_dict()[key]
+    assert value == stored and type(value) is type(stored)
+
+
+# ---------------------------------------------------------------------------
 # adam
 
 
