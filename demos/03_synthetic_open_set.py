@@ -6,10 +6,8 @@ knowns only. Half of a held-out unknown cluster calibrates the
 rejection threshold; the other half plays the role of a novel attack at
 test time.
 """
-import numpy as np
-
 from rpmnet import TrainConfig, calibrate, evaluate, fit_scaler, make_split, train
-from rpmnet.dataio import ClassRoles
+from rpmnet.dataio import ClassRoles, encode_labels
 from rpmnet.openset import detect, score
 from rpmnet.synthetic import open_set_fixture
 
@@ -32,7 +30,7 @@ threshold = calibrate(known_scores, val_scores)
 print(f"calibrated tau = {threshold.tau:.4f} "
       f"(validation unknown-F1 {threshold.calibration_stats['f1']:.3f})")
 
-y = np.array([params.class_names.index(l) for l in split.known_test.labels])
+y = encode_labels(split.known_test.labels, params.class_names)
 report = evaluate(params, threshold,
                   scaler.transform(split.known_test.features), y,
                   scaler.transform(unknown[200:]), params.class_names)

@@ -14,6 +14,7 @@ from .dataio import (
     FlowDataset,
     OpenSetSplit,
     Scaler,
+    encode_labels,
     fit_scaler,
     load_bundle,
     load_csv,
@@ -37,6 +38,7 @@ __all__ = [
     "FlowDataset",
     "OpenSetSplit",
     "Scaler",
+    "encode_labels",
     "fit_scaler",
     "load_bundle",
     "load_csv",

@@ -19,8 +19,6 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import __version__
 from . import autodiff as ad
 from . import dataio
@@ -65,11 +63,11 @@ def _refuse_in_place(args, out_flag, in_flags, suffixes=("", ".manifest.json")) 
                 raise CliError(f"{target} must differ from --{flag}; rpmnet never rewrites an input in place")
 
 
-def _write_manifest(out_path, command, config, seed, inputs, outputs, started, extra=None):
+def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, started, extra=None):
     manifest = {
         "command": command,
-        "config": config,
-        "seed": seed,
+        "config": config.to_dict(),
+        "seed": config.seed,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "outputs": {name: str(p) for name, p in outputs.items()},
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
@@ -98,16 +96,6 @@ def _load_split(data_path, roles, feature_names, label_column, seed):
     dataset, dropped = dataio.load_csv(data_path, feature_names=feature_names, label_column=label_column)
     split = dataio.make_split(dataset, roles, ratio=0.8, seed=seed)
     return dataset, split, dropped
-
-
-def _label_indices(labels, class_names) -> np.ndarray:
-    index = {c: i for i, c in enumerate(class_names)}
-    missing = sorted({l for l in labels if l not in index})
-    if missing:
-        raise CliError(
-            "labels not in the model's class vocabulary: " + ", ".join(repr(m) for m in missing)
-        )
-    return np.array([index[l] for l in labels], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +130,7 @@ def cmd_train(args) -> int:
     _write_manifest(
         args.out,
         "train",
-        config.to_dict(),
-        config.seed,
+        config,
         {"data": args.data, "roles": args.roles},
         {"bundle": args.out, "history": history_path},
         started,
@@ -175,8 +162,7 @@ def cmd_calibrate(args) -> int:
     _write_manifest(
         args.out,
         "calibrate",
-        bundle.config.to_dict(),
-        bundle.config.seed,
+        bundle.config,
         {"bundle": args.bundle, "data": args.data, "roles": args.roles},
         {"bundle": args.out},
         started,
@@ -197,7 +183,7 @@ def cmd_eval(args) -> int:
     _, split, _ = _load_split(
         args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed
     )
-    y = _label_indices(split.known_test.labels, bundle.params.class_names)
+    y = dataio.encode_labels(split.known_test.labels, bundle.params.class_names)
     unknown = bundle.scaler.transform(split.test_unknown.features) if len(split.test_unknown) else None
     report = mx.evaluate(
         bundle.params,
@@ -214,8 +200,7 @@ def cmd_eval(args) -> int:
     _write_manifest(
         args.report,
         "eval",
-        bundle.config.to_dict(),
-        bundle.config.seed,
+        bundle.config,
         {"bundle": args.bundle, "data": args.data, "roles": args.roles},
         {"report": args.report},
         started,
@@ -283,14 +268,9 @@ def cmd_score(args) -> int:
     rows_scored = dropped = 0
     with contextlib.closing(dataio.iter_csv_blocks(args.data)) as blocks:
         header = next(blocks)
-        missing = [c for c in bundle.feature_names if c not in header]
-        if missing:
-            extra = [c for c in header if c not in bundle.feature_names and c != bundle.label_column]
-            msg = "input schema does not match the bundle; missing columns: " + ", ".join(missing)
-            if extra:
-                msg += "; extra columns: " + ", ".join(extra)
-            raise dataio.SchemaError(msg)
-        dataio.reject_duplicates(header, bundle.feature_names)
+        # extract_features checks each block again; this check also covers
+        # a file with no rows and fails before --out is created
+        dataio.column_positions(header, bundle.feature_names)
         with _atomic_output(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(header + ["predicted_label", "score", "is_unknown"])
@@ -304,8 +284,7 @@ def cmd_score(args) -> int:
     _write_manifest(
         args.out,
         "score",
-        bundle.config.to_dict(),
-        bundle.config.seed,
+        bundle.config,
         {"bundle": args.bundle, "data": args.data},
         {"scored": args.out},
         started,

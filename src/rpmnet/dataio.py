@@ -5,6 +5,11 @@ Cleaning policy: rows with non-numeric, NaN, or infinite feature values
 are dropped (never imputed) and counted, since public flow datasets are
 known to contain Inf/NaN artifacts that would poison z-score statistics.
 
+Every command checks a CSV header with :func:`column_positions`: a
+column it reads that the header lacks or repeats is a SchemaError
+listing those columns.  Labels become class indices only through
+:func:`encode_labels`, which names every label outside the vocabulary.
+
 The bundle is a single self-describing file: a JSON manifest (format
 version, feature schema, label vocabulary, config, threshold) followed
 by length-tracked float64 sections, all covered by a CRC-32 checksum.
@@ -20,7 +25,7 @@ import logging
 import operator
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +48,11 @@ __all__ = [
     "BLOCK_ROWS",
     "iter_csv_blocks",
     "read_csv_rows",
-    "reject_duplicates",
+    "column_positions",
     "extract_features",
     "load_csv",
     "save_csv",
+    "encode_labels",
     "fit_scaler",
     "load_roles",
     "preset_roles_path",
@@ -104,10 +110,6 @@ class FlowDataset:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.features.shape[1]
-
     def take(self, indices) -> "FlowDataset":
         idx = np.asarray(indices, dtype=np.int64)
         return FlowDataset(
@@ -157,15 +159,27 @@ def read_csv_rows(path):
     return header, list(itertools.chain.from_iterable(blocks))
 
 
-def reject_duplicates(header, names) -> None:
-    """Raise SchemaError naming every one of ``names`` that the header
-    holds more than once, since reading it would pick one copy silently."""
+def column_positions(header, names) -> list:
+    """Position of each of ``names`` in a CSV header.
+
+    A name the header lacks is a SchemaError listing every missing name
+    and the header's other columns.  A name the header holds more than
+    once is a SchemaError listing every such name, since reading it
+    would pick one copy silently.
+    """
     counts = collections.Counter(header)
+    missing = [name for name in dict.fromkeys(names) if not counts[name]]
+    if missing:
+        wanted = set(names)
+        others = [h for h in header if h not in wanted]
+        msg = f"missing columns: {', '.join(missing)}"
+        raise SchemaError(msg + f"; other columns: {', '.join(others)}" if others else msg)
     repeated = [name for name in dict.fromkeys(names) if counts[name] > 1]
     if repeated:
         raise SchemaError(
             f"duplicated columns: {', '.join(repeated)}; rename or drop the repeated columns"
         )
+    return [header.index(name) for name in names]
 
 
 def extract_features(header, rows, feature_names):
@@ -173,24 +187,14 @@ def extract_features(header, rows, feature_names):
 
     Returns (features, kept_row_indices, dropped_count).  A row is
     dropped when it has the wrong number of cells or any feature cell is
-    non-numeric, NaN, or infinite.  A feature column that the header
-    holds twice is a ``SchemaError``.  Each row's cells are converted
+    non-numeric, NaN, or infinite.  The header is checked by
+    :func:`column_positions`.  Each row's cells are converted
     straight into a preallocated float64 matrix (numpy parses a ``str``
     exactly as ``float()`` does); one finiteness mask over the whole
     matrix then drops the NaN/Inf rows, so every drop is counted in a
     single pass over the rows.
     """
-    positions = []
-    missing = []
-    for name in feature_names:
-        if name in header:
-            positions.append(header.index(name))
-        else:
-            missing.append(name)
-    if missing:
-        raise SchemaError(f"missing columns: {', '.join(missing)}")
-    reject_duplicates(header, feature_names)
-
+    positions = column_positions(header, feature_names)
     cells_of = operator.itemgetter(*positions) if positions else (lambda row: ())
     features = np.empty((len(rows), len(positions)), dtype=np.float64)
     kept_idx = []
@@ -209,26 +213,23 @@ def extract_features(header, rows, feature_names):
     return features[finite], kept_idx, len(rows) - len(kept_idx)
 
 
-def load_csv(path, feature_names=None, label_column: str = "label", allow_empty: bool = False):
+def load_csv(path, feature_names=None, label_column: str = "label"):
     """Load a labelled flow CSV.
 
     ``feature_names`` defaults to every non-label column.  Returns
     (FlowDataset, dropped_row_count).
     """
     header, rows = read_csv_rows(path)
-    if label_column not in header:
-        raise SchemaError(f"missing columns: {label_column}")
     if feature_names is None:
         feature_names = [h for h in header if h != label_column]
     feature_names = list(feature_names)
-    reject_duplicates(header, feature_names + [label_column])
+    label_pos = column_positions(header, feature_names + [label_column])[-1]
 
     features, kept_idx, dropped = extract_features(header, rows, feature_names)
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", path, dropped)
-    label_pos = header.index(label_column)
     labels = tuple(rows[i][label_pos] for i in kept_idx)
-    if len(labels) == 0 and not allow_empty:
+    if len(labels) == 0:
         raise EmptyDatasetError(f"{path}: no usable records")
     dataset = FlowDataset(features=features, labels=labels, feature_names=tuple(feature_names))
     return dataset, dropped
@@ -242,6 +243,17 @@ def save_csv(path, dataset: FlowDataset, label_column: str = "label") -> None:
         writer.writerow(list(dataset.feature_names) + [label_column])
         for row, label in zip(dataset.features, dataset.labels):
             writer.writerow([repr(float(v)) for v in row] + [label])
+
+
+def encode_labels(labels, class_names) -> np.ndarray:
+    """Index of each label in ``class_names``, as int64 codes.  A label
+    outside that vocabulary is a ValueError naming every such label."""
+    index = {name: i for i, name in enumerate(class_names)}
+    codes = np.array([index.get(label, -1) for label in labels], dtype=np.int64)
+    if (codes < 0).any():
+        outside = sorted({label for label in labels if label not in index})
+        raise ValueError("labels not in the class vocabulary: " + ", ".join(map(repr, outside)))
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -317,18 +329,32 @@ class ClassRoles:
 
 
 def load_roles(path) -> ClassRoles:
-    """Read a roles config: JSON with ``known``/``validation_unknown``/
-    ``test_unknown`` class-name lists, plus optional ``default`` role,
-    ``label_column``, and ``feature_names``."""
+    """Read a roles config: a JSON object with ``known``/
+    ``validation_unknown``/``test_unknown`` class-name lists, plus
+    optional ``default`` role, ``label_column``, and ``feature_names``
+    (``default`` and ``feature_names`` may be null).  Values are checked,
+    not coerced; a wrong type is a RolesError naming the key."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise RolesError(f"{path}: not valid JSON ({e})") from None
-    known_keys = {"known", "validation_unknown", "test_unknown", "default", "label_column", "feature_names", "note"}
+    if not isinstance(raw, dict):
+        raise RolesError(f"{path}: roles must be a JSON object, not {type(raw).__name__}")
+    known_keys = {*ROLES, "default", "label_column", "feature_names", "note"}
     extra = sorted(set(raw) - known_keys)
     if extra:
         raise RolesError(f"{path}: unknown keys: {', '.join(extra)}")
+    for key, value in raw.items():
+        if key == "note" or (value is None and key in ("default", "feature_names")):
+            continue
+        if key in ("default", "label_column"):
+            ok, want = isinstance(value, str), "a string"
+        else:
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            want = "a list of strings"
+        if not ok:
+            raise RolesError(f"{path}: roles key {key!r} must be {want}, got {value!r}")
     if not raw.get("known"):
         raise RolesError(f"{path}: at least one known class is required")
     fn = raw.get("feature_names")
@@ -363,7 +389,6 @@ class OpenSetSplit:
     known_test: FlowDataset
     val_unknown: FlowDataset
     test_unknown: FlowDataset
-    class_roles: dict = field(default_factory=dict)
 
 
 def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed: int = 0) -> OpenSetSplit:
@@ -377,15 +402,9 @@ def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    labels = dataset.labels
-    assigned: dict = {}
-    unassigned = []
-    for name in sorted(set(labels)):
-        role = roles.role_of(name)
-        if role is None:
-            unassigned.append(name)
-        else:
-            assigned[name] = role
+    names = sorted(set(dataset.labels))
+    role_of = [roles.role_of(name) for name in names]
+    unassigned = [name for name, role in zip(names, role_of) if role is None]
     if unassigned:
         raise RolesError(
             "classes present in the data but missing from the roles config: "
@@ -397,10 +416,9 @@ def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed
     test_idx: list = []
     val_unknown_idx: list = []
     test_unknown_idx: list = []
-    label_arr = np.asarray(labels, dtype=object)
-    for name in sorted(assigned):
-        idx = np.nonzero(label_arr == name)[0]
-        role = assigned[name]
+    codes = encode_labels(dataset.labels, names)
+    for k, (name, role) in enumerate(zip(names, role_of)):
+        idx = np.flatnonzero(codes == k)
         if role == ROLE_VALIDATION_UNKNOWN:
             val_unknown_idx.extend(idx.tolist())
         elif role == ROLE_TEST_UNKNOWN:
@@ -419,7 +437,6 @@ def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed
         known_test=dataset.take(sorted(test_idx)),
         val_unknown=dataset.take(sorted(val_unknown_idx)),
         test_unknown=dataset.take(sorted(test_unknown_idx)),
-        class_roles=assigned,
     )
 
 

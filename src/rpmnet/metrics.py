@@ -3,9 +3,10 @@
 AUROC uses the Mann-Whitney formulation (win + half-tie counting) and
 AUPR a descending-score sweep with tie groups collapsed and step
 (non-trapezoidal) area accumulation.  Both paths keep their counts as
-exact integers and accumulate the area left-to-right in plain Python,
-so a brute-force oracle that follows the same definition reproduces
-them bit-for-bit.
+exact integers, and AUPR adds up its area strictly left to right
+(``np.add.accumulate``, not the pairwise summation of ``np.sum``), so a
+brute-force oracle that follows the same definition reproduces them
+bit-for-bit.
 """
 from __future__ import annotations
 
@@ -96,13 +97,14 @@ def macro_prf(predictions, truths, num_classes: int):
     if preds.size and (preds.min() < REJECTED or preds.max() >= num_classes):
         raise ValueError(f"predictions must lie in [0, {num_classes}) or be REJECTED")
 
+    # REJECTED never equals a truth, so a hit is always a class prediction
+    tp = np.bincount(truth[preds == truth], minlength=num_classes).tolist()
+    predicted = np.bincount(preds[preds != REJECTED], minlength=num_classes).tolist()
+    support = np.bincount(truth, minlength=num_classes).tolist()
     per_class = []
-    for k in range(num_classes):
-        tp = int(np.sum((preds == k) & (truth == k)))
-        fp = int(np.sum((preds == k) & (truth != k)))
-        fn = int(np.sum((preds != k) & (truth == k)))
-        p = _rate(tp, tp + fp)
-        r = _rate(tp, tp + fn)
+    for tp_k, predicted_k, support_k in zip(tp, predicted, support):
+        p = _rate(tp_k, predicted_k)
+        r = _rate(tp_k, support_k)
         f1 = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
         per_class.append((p, r, f1))
     macro = MacroMetrics(
@@ -171,14 +173,9 @@ def aupr(scores, is_positive, higher_means_positive: bool = True) -> float:
         raise ValueError("aupr needs at least one positive sample")
 
     tp, fp = _sweep_groups(s, flags)
-    area = 0.0
-    prev_recall = 0.0
-    for tp_i, fp_i in zip(tp.tolist(), fp.tolist()):
-        recall = tp_i / total_pos
-        precision = tp_i / (tp_i + fp_i)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return area
+    recall = tp / total_pos
+    precision = tp / (tp + fp)
+    return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def evaluate(
@@ -218,7 +215,7 @@ def evaluate(
     else:
         roc = pr_in = pr_out = None
 
-    support = [int(np.sum(y == i)) for i in range(k)]
+    support = np.bincount(y, minlength=k).tolist()
     per_class = {
         name: {
             "precision": per_class_prf[i][0],

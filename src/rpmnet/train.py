@@ -15,6 +15,7 @@ from . import autodiff as ad
 from . import losses
 from . import model as mdl
 from .config import TrainConfig
+from .dataio import encode_labels
 
 __all__ = [
     "TrainConfig",
@@ -84,18 +85,6 @@ def _dropout_masks(rng: np.random.Generator, n: int, hidden_dims, rate: float):
     return tuple((rng.random((n, h)) < keep) / keep for h in hidden_dims)
 
 
-def _encode_labels(labels, class_names):
-    if class_names is None:
-        class_names = sorted(set(labels))
-    class_names = tuple(class_names)
-    index = {c: i for i, c in enumerate(class_names)}
-    try:
-        y = np.array([index[l] for l in labels], dtype=np.int64)
-    except KeyError as e:
-        raise ValueError(f"label {e.args[0]!r} is not in the class vocabulary") from None
-    return y, class_names
-
-
 def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     """Train on a normalized feature matrix with string labels.
 
@@ -106,9 +95,10 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"training features must be a non-empty 2-D matrix, got shape {x.shape}")
-    y, class_names = _encode_labels(labels, class_names)
-    for k, name in enumerate(class_names):
-        if not np.any(y == k):
+    class_names = tuple(sorted(set(labels)) if class_names is None else class_names)
+    y = encode_labels(labels, class_names)
+    for name, count in zip(class_names, np.bincount(y, minlength=len(class_names))):
+        if not count:
             warnings.warn(f"class {name!r} has no training samples; keeping it in the vocabulary")
 
     rng = np.random.default_rng(config.seed)

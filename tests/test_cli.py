@@ -184,6 +184,18 @@ def test_eval_requires_calibration(workspace, capsys):
     assert "calibrate" in capsys.readouterr().err
 
 
+def test_eval_known_class_outside_bundle_vocabulary(workspace, capsys):
+    run_train(workspace)
+    run_calibrate(workspace)
+    roles = workspace["dir"] / "eval_roles.json"
+    roles.write_text(json.dumps({"known": ["dos", "scan", "bruteforce", "nov_val"], "test_unknown": ["nov_test"]}))
+    rc = main(["eval", "--bundle", workspace["calibrated"], "--data", workspace["data"],
+               "--roles", str(roles), "--report", workspace["report"]])
+    assert rc == 1
+    assert "labels not in the class vocabulary: 'nov_val'" in capsys.readouterr().err
+    assert not (workspace["dir"] / "report.json").exists()
+
+
 def test_eval_writes_report(workspace, capsys):
     run_train(workspace)
     run_calibrate(workspace)

@@ -65,8 +65,6 @@ def test_load_csv_header_only_is_empty_error(tmp_path):
     path = write(tmp_path / "flows.csv", "f0,f1,label\n")
     with pytest.raises(dio.EmptyDatasetError):
         dio.load_csv(path)
-    ds, _ = dio.load_csv(path, allow_empty=True)
-    assert len(ds) == 0
 
 
 def test_load_csv_no_header_at_all(tmp_path):
@@ -220,10 +218,37 @@ def test_load_csv_rejects_duplicated_columns(tmp_path, text, named):
         dio.load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "header,names,message",
+    [
+        (["f0", "label", "f1"], ["f1", "f0"], None),
+        (["f0", "x", "label"], ["f0", "f1", "f2"], "missing columns: f1, f2; other columns: x, label$"),
+        (["f0"], ["f0", "f1"], "missing columns: f1$"),
+        # a missing column is reported before a duplicated one
+        (["a", "a", "b"], ["a", "c"], "missing columns: c; other columns: b$"),
+        (["a", "a", "b", "b"], ["b", "a"], "duplicated columns: b, a;"),
+    ],
+)
+def test_column_positions(header, names, message):
+    if message is None:
+        assert dio.column_positions(header, names) == [header.index(n) for n in names]
+    else:
+        with pytest.raises(dio.SchemaError, match=message):
+            dio.column_positions(header, names)
+
+
 def test_load_csv_ignores_duplicates_it_does_not_read(tmp_path):
     path = write(tmp_path / "dup.csv", "a,b,b,label\n1,2,3,x\n")
     ds, _ = dio.load_csv(path, feature_names=["a"])
     assert np.array_equal(ds.features, [[1.0]])
+
+
+def test_encode_labels_codes_and_names_every_outsider():
+    codes = dio.encode_labels(("b", "a", "b"), ("a", "b"))
+    assert codes.dtype == np.int64 and codes.tolist() == [1, 0, 1]
+    assert dio.encode_labels((), ("a",)).tolist() == []
+    with pytest.raises(ValueError, match=r"vocabulary: 'x', 'y'$"):
+        dio.encode_labels(["y", "a", "x", "y"], ("a",))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +340,74 @@ def test_split_proportions_within_one_sample(na, nb):
         assert 1 <= got <= n - 1
 
 
+def split_oracle(labels, roles, ratio, seed):
+    """Row ids of each partition, by the split's original formulas: one
+    object-array comparison per class, in sorted class order."""
+    assigned = {}
+    for name in sorted(set(labels)):
+        role = roles.role_of(name)
+        if role is None:
+            raise dio.RolesError(name)
+        assigned[name] = role
+    rng = np.random.default_rng(seed)
+    parts = {"train": [], "test": [], dio.ROLE_VALIDATION_UNKNOWN: [], dio.ROLE_TEST_UNKNOWN: []}
+    label_arr = np.asarray(labels, dtype=object)
+    for name in sorted(assigned):
+        idx = np.nonzero(label_arr == name)[0]
+        if assigned[name] != dio.ROLE_KNOWN:
+            parts[assigned[name]].extend(idx.tolist())
+            continue
+        if idx.size < 2:
+            raise ValueError(name)
+        perm = rng.permutation(idx)
+        n_train = min(max(int(round(ratio * idx.size)), 1), idx.size - 1)
+        parts["train"].extend(perm[:n_train].tolist())
+        parts["test"].extend(perm[n_train:].tolist())
+    return {key: sorted(ids) for key, ids in parts.items()}
+
+
+ROLE_CHOICES = (None, dio.ROLE_KNOWN, dio.ROLE_VALIDATION_UNKNOWN, dio.ROLE_TEST_UNKNOWN)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from("abcde"), min_size=1, max_size=80),
+    listed=st.lists(st.sampled_from(ROLE_CHOICES), min_size=5, max_size=5),
+    default=st.sampled_from(ROLE_CHOICES),
+    ratio=st.floats(0.01, 0.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_matches_oracle(labels, listed, default, ratio, seed):
+    by_role = {role: tuple(c for c, r in zip("abcde", listed) if r == role) for role in dio.ROLES}
+    roles = dio.ClassRoles(
+        known=by_role[dio.ROLE_KNOWN],
+        validation_unknown=by_role[dio.ROLE_VALIDATION_UNKNOWN],
+        test_unknown=by_role[dio.ROLE_TEST_UNKNOWN],
+        default=default,
+    )
+    ds = dataset_with(labels, np.random.default_rng(0))
+    try:
+        want = split_oracle(labels, roles, ratio, seed)
+    except ValueError as e:  # RolesError included
+        with pytest.raises(ValueError) as raised:
+            dio.make_split(ds, roles, ratio=ratio, seed=seed)
+        assert type(raised.value) is type(e)
+        return
+    split = dio.make_split(ds, roles, ratio=ratio, seed=seed)
+    got = {
+        key: part.features[:, 0].astype(int).tolist()
+        for key, part in (
+            ("train", split.known_train),
+            ("test", split.known_test),
+            (dio.ROLE_VALIDATION_UNKNOWN, split.val_unknown),
+            (dio.ROLE_TEST_UNKNOWN, split.test_unknown),
+        )
+    }
+    assert got == want
+    for part in (split.known_train, split.known_test, split.val_unknown, split.test_unknown):
+        assert part.labels == tuple(labels[i] for i in part.features[:, 0].astype(int))
+
+
 def test_split_unassigned_class_is_listed(rng):
     ds = dataset_with(["a", "a", "mystery", "mystery"], rng)
     with pytest.raises(dio.RolesError, match="mystery"):
@@ -368,6 +461,34 @@ def test_roles_file_requires_known(tmp_path):
     path = write(tmp_path / "roles.json", '{"test_unknown": ["u"]}')
     with pytest.raises(dio.RolesError, match="known"):
         dio.load_roles(path)
+
+
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        ([1], "roles must be a JSON object, not list"),
+        ("known", "roles must be a JSON object, not str"),
+        ({"known": "dos"}, "'known' must be a list of strings"),
+        ({"known": ["a", 1]}, "'known' must be a list of strings"),
+        ({"known": ["a"], "validation_unknown": "v"}, "'validation_unknown' must be a list"),
+        ({"known": ["a"], "test_unknown": None}, "'test_unknown' must be a list"),
+        ({"known": ["a"], "feature_names": "abc"}, "'feature_names' must be a list"),
+        ({"known": ["a"], "feature_names": [0, 1]}, "'feature_names' must be a list"),
+        ({"known": ["a"], "default": 1}, "'default' must be a string"),
+        ({"known": ["a"], "label_column": ["Label"]}, "'label_column' must be a string"),
+        ({"known": ["a"], "label_column": None}, "'label_column' must be a string"),
+    ],
+)
+def test_roles_file_value_types(tmp_path, doc, named):
+    path = write(tmp_path / "roles.json", json.dumps(doc))
+    with pytest.raises(dio.RolesError, match=named):
+        dio.load_roles(path)
+
+
+def test_roles_file_null_default_and_feature_names(tmp_path):
+    doc = {"known": ["a"], "default": None, "feature_names": None, "note": ["free", "text"]}
+    roles = dio.load_roles(write(tmp_path / "roles.json", json.dumps(doc)))
+    assert roles.default is None and roles.feature_names is None
 
 
 @pytest.mark.parametrize("name,n_known", [("cicids2017", 5), ("unsw_nb15", 6)])

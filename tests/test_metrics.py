@@ -47,6 +47,20 @@ def aupr_threshold_sweep(scores, is_positive, higher_means_positive=True):
     return area
 
 
+def macro_prf_per_class_passes(preds, truth, num_classes):
+    """Per-class (precision, recall, f1), three boolean passes per class."""
+    preds, truth = np.asarray(preds), np.asarray(truth)
+    per_class = []
+    for k in range(num_classes):
+        tp = int(np.sum((preds == k) & (truth == k)))
+        fp = int(np.sum((preds == k) & (truth != k)))
+        fn = int(np.sum((preds != k) & (truth == k)))
+        p = tp / (tp + fp) if tp + fp else 0.0
+        r = tp / (tp + fn) if tp + fn else 0.0
+        per_class.append((p, r, 2.0 * p * r / (p + r) if p + r > 0 else 0.0))
+    return per_class
+
+
 def random_instance(rng, max_n=200):
     n = int(rng.integers(4, max_n + 1))
     tie_heavy = rng.random() < 0.5
@@ -108,6 +122,25 @@ def test_macro_invariant_under_relabeling(pairs):
     assert macro_permuted.precision == pytest.approx(macro.precision, abs=1e-12)
     assert macro_permuted.recall == pytest.approx(macro.recall, abs=1e-12)
     assert macro_permuted.f1 == pytest.approx(macro.f1, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(st.tuples(st.integers(mx.REJECTED, k - 1), st.integers(0, k - 1)), max_size=60),
+        )
+    )
+)
+def test_macro_matches_per_class_passes_exactly(case):
+    k, pairs = case
+    preds = [p for p, _ in pairs]
+    truths = [t for _, t in pairs]
+    want = macro_prf_per_class_passes(preds, truths, k)
+    per_class, macro = mx.macro_prf(preds, truths, k)
+    assert per_class == want
+    assert macro == mx.MacroMetrics(*(float(np.mean([m[i] for m in want])) for i in range(3)))
 
 
 # ---------------------------------------------------------------------------
