@@ -225,18 +225,23 @@ def _write_row(fh, writer, cells) -> None:
         writer.writerow(cells)
 
 
-def _write_scored_block(fh, writer, bundle, header, rows):
-    """Score one block of raw rows and write the kept ones with the three
-    appended columns; returns (rows_scored, rows_dropped)."""
-    features, kept_idx, dropped = dataio.extract_features(header, rows, bundle.feature_names)
+def _write_scored_block(fh, writer, bundle, features, rows) -> None:
+    """Score one parsed block and write its kept rows with the three
+    appended columns.  A row is a list of cells or, for a record that
+    numpy parsed, its line: that line holds no comma inside a cell, no
+    quote, CR or LF and no empty cell, so ``csv.writer`` would write its
+    cells as they are, and only the appended cells may need quoting."""
     scored = osr.detect(osr.score(bundle.params, bundle.scaler.transform(features)), bundle.threshold)
     class_names = bundle.params.class_names
     predicted = [class_names[k] for k in scored.predicted.tolist()]
     scores = [repr(s) for s in scored.scores.tolist()]
     unknown = ["true" if u else "false" for u in scored.is_unknown.tolist()]
-    for i, label, score, flag in zip(kept_idx, predicted, scores, unknown):
-        _write_row(fh, writer, rows[i] + [label, score, flag])
-    return len(kept_idx), dropped
+    for row, label, score, flag in zip(rows, predicted, scores, unknown):
+        if isinstance(row, str):
+            fh.write(row + ",")
+            _write_row(fh, writer, [label, score, flag])
+        else:
+            _write_row(fh, writer, row + [label, score, flag])
 
 
 @contextlib.contextmanager
@@ -255,7 +260,7 @@ def _atomic_output(path):
 
 
 def cmd_score(args) -> int:
-    """Score ``--data`` block by block (``dataio.BLOCK_ROWS`` raw rows at a
+    """Score ``--data`` block by block (``dataio.BLOCK_ROWS`` records at a
     time), so memory does not grow with the file."""
     started = time.time()
     _refuse_in_place(args, "out", ("bundle", "data"))
@@ -266,19 +271,17 @@ def cmd_score(args) -> int:
             "run `rpmnet calibrate` and score with the calibrated bundle"
         )
     rows_scored = dropped = 0
-    with contextlib.closing(dataio.iter_csv_blocks(args.data)) as blocks:
-        header = next(blocks)
-        # extract_features checks each block again; this check also covers
-        # a file with no rows and fails before --out is created
-        dataio.column_positions(header, bundle.feature_names)
+    with contextlib.closing(dataio._iter_records(args.data)) as records:
+        header = next(records)
+        # checked before --out is created, so a file with no rows is checked too
+        positions = dataio.column_positions(header, bundle.feature_names)
         with _atomic_output(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(header + ["predicted_label", "score", "is_unknown"])
-            for rows in blocks:
-                kept, n_dropped = _write_scored_block(fh, writer, bundle, header, rows)
-                rows_scored += kept
+            for features, rows, n_dropped in dataio._iter_feature_blocks(records, positions, len(header)):
+                _write_scored_block(fh, writer, bundle, features, rows)
+                rows_scored += len(rows)
                 dropped += n_dropped
-                del rows  # free this block before the reader builds the next one
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", args.data, dropped)
     _write_manifest(

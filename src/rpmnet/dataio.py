@@ -18,6 +18,7 @@ Saving, loading, and re-saving produces byte-identical files.
 from __future__ import annotations
 
 import collections
+import contextlib
 import csv
 import itertools
 import json
@@ -70,7 +71,8 @@ ROLE_TEST_UNKNOWN = "test_unknown"
 ROLES = (ROLE_KNOWN, ROLE_VALIDATION_UNKNOWN, ROLE_TEST_UNKNOWN)
 
 BUNDLE_FORMAT = "rpmnet-bundle/1"
-# raw CSV rows per block that ``iter_csv_blocks`` yields
+# non-blank CSV records per block: what ``iter_csv_blocks`` yields and what
+# ``load_csv`` and ``rpmnet score`` parse at a time
 BLOCK_ROWS = 1024
 _MAGIC = b"RPMB"
 
@@ -131,12 +133,14 @@ class FlowDataset:
 
 def iter_csv_blocks(path):
     """Yield the header of a CSV file (RFC-4180 style, UTF-8; a leading
-    byte-order mark is skipped), then its raw string rows in lists of at
-    most ``BLOCK_ROWS``.  Blank rows are skipped.  The generator keeps no
-    reference to a block it has yielded, so a caller that drops each
-    block holds one block of the file at a time.  A line ``csv`` cannot
-    parse (such as a cell over its field size limit) is a SchemaError
-    naming the file and line."""
+    byte-order mark is skipped), then its rows as lists of ``str`` cells,
+    in lists of at most ``BLOCK_ROWS`` rows.  Blank rows are skipped.
+    Every cell comes from ``csv``; :func:`load_csv` and ``rpmnet score``
+    read through ``_iter_records`` instead, which gives the same records
+    without a ``str`` per cell.  The generator keeps no reference to a
+    block it has yielded.  A line ``csv`` cannot parse (such as a cell
+    over its field size limit) is a SchemaError naming the file and
+    line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -159,13 +163,116 @@ def read_csv_rows(path):
     return header, list(itertools.chain.from_iterable(blocks))
 
 
+def _iter_records(path):
+    """Yield the stripped header of a CSV file, then each non-blank
+    record: the same header and rows as :func:`iter_csv_blocks`, without
+    a ``str`` per cell where numpy can parse the line.
+
+    A physical line with no ``"`` is a record on its own, which ``csv``
+    splits on commas and nowhere else.  Such a line is yielded as it is,
+    terminator removed, when it is also printable, no longer than
+    ``csv.field_size_limit()`` and holds one cell per header column,
+    none of them empty; :func:`_parse_block` hands these lines to numpy.
+    Any other record is yielded as the list of cells ``csv`` reads,
+    starting at its first line and taking in continuation lines of a
+    quoted cell.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        line_num = 0
+
+        def cells(line):
+            nonlocal line_num
+            reader = csv.reader(itertools.chain((line,), fh))
+            try:
+                row = next(reader)
+            except csv.Error as e:
+                raise SchemaError(f"{path}: line {line_num + reader.line_num}: {e}") from None
+            line_num += reader.line_num
+            return row
+
+        first = next(fh, None)
+        if first is None:
+            raise EmptyDatasetError(f"{path}: file has no header row")
+        header = [h.strip() for h in cells(first)]
+        yield header
+        commas, limit = len(header) - 1, csv.field_size_limit()
+        for line in fh:
+            text = line.rstrip("\r\n")
+            if not text:
+                line_num += 1
+            elif (
+                '"' not in text
+                and text.count(",") == commas
+                and text[0] != ","
+                and text[-1] != ","
+                and ",," not in text
+                and len(text) <= limit
+                and text.isprintable()
+            ):
+                line_num += 1
+                yield text
+            else:
+                yield cells(line)
+
+
+def _parse_block(records, positions, width):
+    """Parse one block of records from :func:`_iter_records` the way
+    :func:`extract_features` parses rows; returns (features, kept
+    records, dropped count).
+
+    All line records go through one ``np.loadtxt`` call, which parses a
+    printable cell to the bits ``float()`` gives and accepts no printable
+    cell that ``float()`` rejects.  It is stricter on some cells, such
+    as ``1_000``; if it rejects one, every record of the block is parsed
+    from its cells instead.
+    """
+    n = len(records)
+    features = np.empty((n, len(positions)), dtype=np.float64)
+    parsed = np.zeros(n, dtype=bool)
+    lines = [i for i, r in enumerate(records) if isinstance(r, str)]
+    exact = [i for i, r in enumerate(records) if not isinstance(r, str)]
+    if lines:
+        try:
+            features[lines] = np.loadtxt(
+                [records[i] for i in lines], delimiter=",", usecols=positions, comments=None, ndmin=2
+            )
+            parsed[lines] = True
+        except ValueError:
+            exact = range(n)
+    rows = [records[i].split(",") if isinstance(records[i], str) else records[i] for i in exact]
+    values, parsed_rows = _parse_rows(rows, positions, width)
+    done = [exact[k] for k in parsed_rows]
+    features[done] = values
+    parsed[done] = True
+    parsed &= np.isfinite(features).all(axis=1)
+    kept = np.flatnonzero(parsed).tolist()
+    return features[parsed], [records[i] for i in kept], n - len(kept)
+
+
+def _iter_feature_blocks(records, positions, width):
+    """:func:`_parse_block` of each run of ``BLOCK_ROWS`` records."""
+    for first in records:
+        yield _parse_block([first, *itertools.islice(records, BLOCK_ROWS - 1)], positions, width)
+
+
+def _cell(record, pos, width):
+    """Cell ``pos`` of a record from :func:`_iter_records`; a line is
+    split from its nearer end only."""
+    if not isinstance(record, str):
+        return record[pos]
+    if 2 * pos < width:
+        return record.split(",", pos + 1)[pos]
+    return record.rsplit(",", width - pos)[1]
+
+
 def column_positions(header, names) -> list:
     """Position of each of ``names`` in a CSV header.
 
     A name the header lacks is a SchemaError listing every missing name
     and the header's other columns.  A name the header holds more than
     once is a SchemaError listing every such name, since reading it
-    would pick one copy silently.
+    would pick one copy silently.  A name listed twice in ``names`` is a
+    SchemaError too, since it would read one column twice.
     """
     counts = collections.Counter(header)
     missing = [name for name in dict.fromkeys(names) if not counts[name]]
@@ -179,37 +286,51 @@ def column_positions(header, names) -> list:
         raise SchemaError(
             f"duplicated columns: {', '.join(repeated)}; rename or drop the repeated columns"
         )
+    twice = [name for name, n in collections.Counter(names).items() if n > 1]
+    if twice:
+        raise SchemaError(
+            f"columns named more than once: {', '.join(twice)}; "
+            "list each feature column once, and not the label column"
+        )
     return [header.index(name) for name in names]
 
 
-def extract_features(header, rows, feature_names):
-    """Parse the named columns as float64, dropping unusable rows.
-
-    Returns (features, kept_row_indices, dropped_count).  A row is
-    dropped when it has the wrong number of cells or any feature cell is
-    non-numeric, NaN, or infinite.  The header is checked by
-    :func:`column_positions`.  Each row's cells are converted
-    straight into a preallocated float64 matrix (numpy parses a ``str``
-    exactly as ``float()`` does); one finiteness mask over the whole
-    matrix then drops the NaN/Inf rows, so every drop is counted in a
-    single pass over the rows.
-    """
-    positions = column_positions(header, feature_names)
+def _parse_rows(rows, positions, width):
+    """Parse the cells at ``positions`` of each row (a list of ``str``
+    cells) as float64; returns (values, parsed_row_indices) for the rows
+    that have ``width`` cells, all of which ``float()`` accepts.  Each
+    row is converted straight into a preallocated float64 matrix (numpy
+    parses a ``str`` exactly as ``float()`` does).  NaN and Inf are
+    kept."""
     cells_of = operator.itemgetter(*positions) if positions else (lambda row: ())
-    features = np.empty((len(rows), len(positions)), dtype=np.float64)
-    kept_idx = []
-    width = len(header)
+    values = np.empty((len(rows), len(positions)), dtype=np.float64)
+    parsed = []
     for i, row in enumerate(rows):
         if len(row) != width:
             continue
         try:
-            features[len(kept_idx)] = cells_of(row)
+            values[len(parsed)] = cells_of(row)
         except ValueError:
             continue
-        kept_idx.append(i)
-    features = features[: len(kept_idx)]
+        parsed.append(i)
+    return values[: len(parsed)], parsed
+
+
+def extract_features(header, rows, feature_names):
+    """Parse the named columns of rows of ``str`` cells as float64,
+    dropping unusable rows.
+
+    Returns (features, kept_row_indices, dropped_count).  A row is
+    dropped when it has the wrong number of cells or any feature cell is
+    non-numeric, NaN, or infinite.  The header is checked by
+    :func:`column_positions`.  This is the per-row parser that
+    :func:`load_csv` and ``rpmnet score`` use for the records numpy
+    cannot take; one finiteness mask then drops the NaN/Inf rows.
+    """
+    positions = column_positions(header, feature_names)
+    features, parsed = _parse_rows(rows, positions, len(header))
     finite = np.isfinite(features).all(axis=1)
-    kept_idx = list(itertools.compress(kept_idx, finite))
+    kept_idx = list(itertools.compress(parsed, finite))
     return features[finite], kept_idx, len(rows) - len(kept_idx)
 
 
@@ -217,22 +338,29 @@ def load_csv(path, feature_names=None, label_column: str = "label"):
     """Load a labelled flow CSV.
 
     ``feature_names`` defaults to every non-label column.  Returns
-    (FlowDataset, dropped_row_count).
+    (FlowDataset, dropped_row_count).  The file is read one block of
+    ``BLOCK_ROWS`` records at a time, so its raw text is never held
+    whole; only the parsed features and the labels of kept rows are.
     """
-    header, rows = read_csv_rows(path)
-    if feature_names is None:
-        feature_names = [h for h in header if h != label_column]
-    feature_names = list(feature_names)
-    label_pos = column_positions(header, feature_names + [label_column])[-1]
-
-    features, kept_idx, dropped = extract_features(header, rows, feature_names)
+    with contextlib.closing(_iter_records(path)) as records:
+        header = next(records)
+        if feature_names is None:
+            feature_names = [h for h in header if h != label_column]
+        feature_names = list(feature_names)
+        *positions, label_pos = column_positions(header, feature_names + [label_column])
+        width = len(header)
+        blocks, labels, vocabulary, dropped = [], [], {}, 0
+        for features, kept, n_dropped in _iter_feature_blocks(records, positions, width):
+            blocks.append(features)
+            # rows of one class share one str object
+            labels += [vocabulary.setdefault(c, c) for c in (_cell(r, label_pos, width) for r in kept)]
+            dropped += n_dropped
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", path, dropped)
-    labels = tuple(rows[i][label_pos] for i in kept_idx)
     if len(labels) == 0:
         raise EmptyDatasetError(f"{path}: no usable records")
-    dataset = FlowDataset(features=features, labels=labels, feature_names=tuple(feature_names))
-    return dataset, dropped
+    features = np.concatenate(blocks)
+    return FlowDataset(features=features, labels=tuple(labels), feature_names=tuple(feature_names)), dropped
 
 
 def save_csv(path, dataset: FlowDataset, label_column: str = "label") -> None:
@@ -312,6 +440,8 @@ class ClassRoles:
             (ROLE_TEST_UNKNOWN, self.test_unknown),
         ):
             for name in names:
+                if seen.get(name) == role:
+                    raise RolesError(f"class {name!r} listed more than once in {role}")
                 if name in seen:
                     raise RolesError(f"class {name!r} assigned to both {seen[name]} and {role}")
                 seen[name] = role

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rpmnet.dataio as dio
+import rpmnet.openset as osr
 from rpmnet.cli import _write_row, main
 from rpmnet.synthetic import gaussian_clusters
 
@@ -455,6 +456,18 @@ def test_output_through_a_symlink_to_an_input_is_refused(workspace, capsys):
     assert (workspace["dir"] / "flows.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("feature_names,named", [(["f0", "f0"], "f0"), (["f1", "label"], "label")])
+def test_train_roles_feature_named_twice_is_an_error(workspace, capsys, feature_names, named):
+    roles = json.loads((workspace["dir"] / "roles.json").read_text())
+    path = workspace["dir"] / "twice_roles.json"
+    path.write_text(json.dumps({**roles, "feature_names": feature_names}))
+    rc = main(["train", "--data", workspace["data"], "--roles", str(path), "--config", workspace["config"],
+               "--out", workspace["bundle"]])
+    assert rc == 1
+    assert f"error: columns named more than once: {named}; " in capsys.readouterr().err
+    assert not (workspace["dir"] / "model.bundle").exists()
+
+
 def _with_oversized_cell(ws, line_no):
     """The fixture CSV with the cell f1 of data line ``line_no`` (1-based
     file line) longer than csv's default field size limit."""
@@ -540,6 +553,33 @@ def test_score_quoted_cells_match_csv_writer(workspace):
     assert "dos, syn" in {r[-3] for r in out_rows}
     reference = io.StringIO(newline="")
     csv.writer(reference).writerows([out_header, *(r + o[-3:] for r, o in zip(in_rows, out_rows))])
+    assert out.read_bytes() == reference.getvalue().encode("utf-8")
+
+    # one file mixing lines numpy parses with records only csv can read (a
+    # quoted multi-line cell, a bare quote, an empty cell, a control
+    # character, a ragged row) and a 1_000 cell that numpy rejects; the
+    # output must be what scoring the csv rows of extract_features writes
+    lines = [",".join(r) for r in rows[:40]]
+    lines[3] = lines[3].rsplit(",", 1)[0] + ',"dos, syn\nsecond line"'
+    lines[5] = lines[5] + 'x"y'
+    lines[7] = "," + lines[7].split(",", 1)[1]
+    lines[9] = lines[9].replace(",", ",\x1f", 1)
+    lines[11] = lines[11].rsplit(",", 1)[0]
+    lines[13] = "1_000," + lines[13].split(",", 1)[1]
+    mixed = workspace["dir"] / "mixed.csv"
+    mixed.write_bytes(("\r\n".join([",".join(header), *lines]) + "\n").encode("utf-8"))
+    m_header, m_rows = dio.read_csv_rows(mixed)
+    features, kept, dropped = dio.extract_features(m_header, m_rows, header[:4])
+    bundle_ = dio.load_bundle(calibrated)
+    scored = osr.detect(osr.score(bundle_.params, bundle_.scaler.transform(features)), bundle_.threshold)
+    reference = io.StringIO(newline="")
+    csv.writer(reference).writerows([m_header + ["predicted_label", "score", "is_unknown"], *(
+        m_rows[i] + [bundle_.params.class_names[k], repr(s), "true" if u else "false"]
+        for i, k, s, u in zip(kept, scored.predicted.tolist(), scored.scores.tolist(), scored.is_unknown.tolist())
+    )])
+    out = workspace["dir"] / "mixed.scored.csv"
+    assert main(["score", "--bundle", str(calibrated), "--data", str(mixed), "--out", str(out)]) == 0
+    assert dropped == 3 and len(kept) == 37
     assert out.read_bytes() == reference.getvalue().encode("utf-8")
 
 

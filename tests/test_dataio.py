@@ -1,7 +1,10 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -227,6 +230,8 @@ def test_load_csv_rejects_duplicated_columns(tmp_path, text, named):
         # a missing column is reported before a duplicated one
         (["a", "a", "b"], ["a", "c"], "missing columns: c; other columns: b$"),
         (["a", "a", "b", "b"], ["b", "a"], "duplicated columns: b, a;"),
+        (["a", "b", "label"], ["a", "b", "a"], "columns named more than once: a;"),
+        (["a", "label"], ["label", "label"], "columns named more than once: label;"),
     ],
 )
 def test_column_positions(header, names, message):
@@ -241,6 +246,153 @@ def test_load_csv_ignores_duplicates_it_does_not_read(tmp_path):
     path = write(tmp_path / "dup.csv", "a,b,b,label\n1,2,3,x\n")
     ds, _ = dio.load_csv(path, feature_names=["a"])
     assert np.array_equal(ds.features, [[1.0]])
+
+
+@pytest.mark.parametrize(
+    "feature_names,named", [(["f0", "f0"], "f0"), (["label"], "label"), (["f1", "label"], "label")]
+)
+def test_load_csv_rejects_a_column_named_twice(tmp_path, feature_names, named):
+    """A feature listed twice, or the label column listed as a feature,
+    would read one column twice; it is a SchemaError, not a silent copy or
+    an empty dataset."""
+    path = write(tmp_path / "flows.csv", "f0,f1,label\n1,2,a\n3,4,b\n")
+    with pytest.raises(dio.SchemaError, match=f"columns named more than once: {named};"):
+        dio.load_csv(path, feature_names=feature_names)
+
+
+def reference_load_csv(path, feature_names=None, label_column="label"):
+    """``load_csv`` as it was before it streamed: ``read_csv_rows`` plus
+    ``extract_features`` plus the label column of the kept rows."""
+    header, rows = dio.read_csv_rows(path)
+    if feature_names is None:
+        feature_names = [h for h in header if h != label_column]
+    feature_names = list(feature_names)
+    label_pos = dio.column_positions(header, feature_names + [label_column])[-1]
+    features, kept_idx, dropped = dio.extract_features(header, rows, feature_names)
+    labels = tuple(rows[i][label_pos] for i in kept_idx)
+    if not labels:
+        raise dio.EmptyDatasetError(f"{path}: no usable records")
+    return features, labels, dropped
+
+
+def streamed_load_csv(path, feature_names):
+    ds, dropped = dio.load_csv(path, feature_names)
+    return ds.features, ds.labels, dropped
+
+
+def outcome(load, path, feature_names):
+    """(features, labels, dropped) of a loader, or the error it raises."""
+    try:
+        features, labels, dropped = load(path, feature_names)
+    except (ValueError, OSError) as e:
+        return type(e), str(e)
+    assert features.dtype == np.float64
+    return features.shape, features.tobytes(), labels, dropped
+
+
+# cells numpy's text reader and float() treat differently, or that only
+# csv can split: control characters, an em space, quotes, line breaks
+FILE_CELLS = ["\x00", "1\x1c", "\x1f1", "\x1e", "2\x1d5", "\u20031", "1\u2003",
+              'a"b', '"', '1"', "x\ny", "x\r\ny", "\r", "a,b", "1,5", "", " "]
+file_cells = st.one_of(cells, st.sampled_from(FILE_CELLS))
+
+
+@st.composite
+def csv_files(draw):
+    """Text of a CSV file with a label column, 0-5 feature columns and
+    ragged rows, each row written by csv.writer (quoting where it needs
+    to) or joined by bare commas, with one line ending, blank lines and
+    maybe a BOM; plus the feature_names to load and the block size."""
+    n_features = draw(st.integers(0, 5))
+    header = [f"c{j}" for j in range(n_features)]
+    header.insert(draw(st.integers(0, n_features)), "label")
+    width = len(header)
+    feature_names = draw(st.one_of(
+        st.none(), st.permutations(header).map(lambda h: [c for c in h if c != "label"])
+    ))
+    if feature_names is not None:
+        feature_names = feature_names[: draw(st.integers(0, len(feature_names)))]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(header)
+    rows = draw(st.lists(
+        st.integers(max(width - 1, 1), width + 1).flatmap(lambda n: st.lists(file_cells, min_size=n, max_size=n)),
+        max_size=12,
+    ))
+    for row in rows:
+        if draw(st.booleans()):
+            writer.writerow(row)
+        else:
+            out.write(",".join(row) + end)
+        if draw(st.integers(0, 5)) == 0:
+            out.write(end)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + out.getvalue(), feature_names, draw(st.sampled_from([1, 3, 1024]))
+
+
+@given(csv_files(), st.sampled_from([None, 12]))
+@settings(max_examples=400, deadline=None)
+def test_load_csv_matches_csv_reader_oracle(tmp_path_factory, table, field_limit):
+    """load_csv gives the oracle's feature bits, labels, kept order and
+    drop count, or the same error type and message, including the line
+    of a cell over csv's field size limit, for every block size."""
+    text, feature_names, block_rows = table
+    path = str(tmp_path_factory.mktemp("oracle") / "flows.csv")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    default_limit, default_block = csv.field_size_limit(), dio.BLOCK_ROWS
+    try:
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        expected = outcome(reference_load_csv, path, feature_names)
+        dio.BLOCK_ROWS = block_rows
+        loaded = outcome(streamed_load_csv, path, feature_names)
+    finally:
+        csv.field_size_limit(default_limit)
+        dio.BLOCK_ROWS = default_block
+    assert loaded == expected
+
+
+def test_load_csv_oracle_covers_both_parsers(tmp_path, monkeypatch):
+    """A fixed file with numpy-parsed lines, csv-parsed records (quoted,
+    multi-line, empty cell, ragged, control character) and a ``1_000``
+    cell that sends its block back to the per-cell parser."""
+    text = (
+        "f0,f1,label\r\n1.5,2,a\r\n\"3\",4,\"b\nc\"\r\n5,,d\r\n6,7\r\n\r\n"
+        "8,9\x1c,e\r\n1_000,2,f\r\n-0.0,1e400,g\n4.9e-324, 7 ,h\r"
+    )
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    features, labels, ref_dropped = reference_load_csv(str(path))
+    for block_rows in (1, 2, 3, 1024):
+        monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+        ds, dropped = dio.load_csv(str(path))
+        assert ds.features.tobytes() == features.tobytes()
+        assert ds.labels == labels == ("a", "b\nc", "f", "h")
+        assert dropped == ref_dropped == 4
+
+
+def test_load_csv_memory_is_bounded_by_the_matrix(tmp_path, monkeypatch):
+    """load_csv holds one block of raw text at a time: its traced peak on
+    a file of 16 blocks stays within 3x the float64 matrix it returns
+    (the whole-file reader held every cell as a str, about 10x)."""
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 256)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(16 * dio.BLOCK_ROWS, 40))
+    path = tmp_path / "wide.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(f"f{j}" for j in range(x.shape[1])) + ",label\n")
+        for i, row in enumerate(x.tolist()):
+            fh.write(",".join(map(repr, row)) + f",class{i % 5}\n")
+    tracemalloc.start()
+    try:
+        ds, _ = dio.load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.tobytes() == x.tobytes()
+    assert peak <= 3 * x.nbytes, peak / x.nbytes
 
 
 def test_encode_labels_codes_and_names_every_outsider():
@@ -430,6 +582,15 @@ def test_split_known_class_needs_two_samples(rng):
 def test_roles_overlap_rejected():
     with pytest.raises(dio.RolesError, match="both"):
         dio.ClassRoles(known=("a",), validation_unknown=("a",))
+
+
+@pytest.mark.parametrize("role", ["known", "validation_unknown", "test_unknown"])
+def test_roles_class_listed_twice_in_one_role(tmp_path, role):
+    doc = {"known": ["k"], role: ["a", "b", "a"]}
+    with pytest.raises(dio.RolesError, match=f"^class 'a' listed more than once in {role}$"):
+        dio.ClassRoles(**{key: tuple(v) for key, v in doc.items()})
+    with pytest.raises(dio.RolesError, match=f"class 'a' listed more than once in {role}$"):
+        dio.load_roles(write(tmp_path / "roles.json", json.dumps(doc)))
 
 
 def test_roles_file_round_trip(tmp_path):
