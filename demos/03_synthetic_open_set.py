@@ -33,7 +33,7 @@ print(f"calibrated tau = {threshold.tau:.4f} "
 y = encode_labels(split.known_test.labels, params.class_names)
 report = evaluate(params, threshold,
                   scaler.transform(split.known_test.features), y,
-                  scaler.transform(unknown[200:]), params.class_names)
+                  scaler.transform(unknown[200:]))
 
 print("\nknown-class metrics (rejected knowns count as errors):")
 for name, m in report.per_class.items():

@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -191,7 +192,6 @@ def cmd_eval(args) -> int:
         bundle.scaler.transform(split.known_test.features),
         y,
         unknown,
-        bundle.params.class_names,
     )
     doc = report.to_dict()
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -211,37 +211,33 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _write_row(fh, writer, cells) -> None:
-    """Write one row of str cells to ``fh`` with the bytes of
-    ``writer.writerow(cells)``, where ``writer`` is ``csv.writer(fh)`` in
-    the default dialect and the row has at least two cells.  That writer
-    quotes a cell only if it holds a comma, a double quote, CR or LF; a
-    row with none of these is written as one joined line, and any other
-    row goes through ``writer``."""
-    line = ",".join(cells)
-    if line.count(",") == len(cells) - 1 and not ('"' in line or "\r" in line or "\n" in line):
-        fh.write(line + "\r\n")
-    else:
-        writer.writerow(cells)
+def _class_cells(class_names) -> list:
+    """Each class name as the cell ``csv.writer`` writes for it, quoted
+    where it needs quoting."""
+    cells = []
+    for name in class_names:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(["", name])
+        cells.append(buf.getvalue()[1:-2])
+    return cells
 
 
-def _write_scored_block(fh, writer, bundle, features, rows) -> None:
-    """Score one parsed block and write its kept rows with the three
-    appended columns.  A row is a list of cells or, for a record that
-    numpy parsed, its line: that line holds no comma inside a cell, no
-    quote, CR or LF and no empty cell, so ``csv.writer`` would write its
-    cells as they are, and only the appended cells may need quoting."""
-    scored = osr.detect(osr.score(bundle.params, bundle.scaler.transform(features)), bundle.threshold)
-    class_names = bundle.params.class_names
-    predicted = [class_names[k] for k in scored.predicted.tolist()]
-    scores = [repr(s) for s in scored.scores.tolist()]
-    unknown = ["true" if u else "false" for u in scored.is_unknown.tolist()]
-    for row, label, score, flag in zip(rows, predicted, scores, unknown):
+def _write_scored_rows(fh, writer, rows, scored, class_names, class_cells) -> None:
+    """Write each kept row of a block with the three appended columns of
+    its ``scored`` entry, with the bytes of ``writer.writerow``.  A row
+    is a list of cells or, for a record that numpy parsed, its line.
+    Such a line holds no cell that ``csv.writer`` would quote, nor does a
+    score's ``repr`` or ``true``/``false``, so it is written joined, with
+    the class name as ``class_cells`` holds it; ``writer`` writes every
+    other row."""
+    for row, k, score, unknown in zip(
+        rows, scored.predicted.tolist(), scored.scores.tolist(), scored.is_unknown.tolist()
+    ):
+        flag = "true" if unknown else "false"
         if isinstance(row, str):
-            fh.write(row + ",")
-            _write_row(fh, writer, [label, score, flag])
+            fh.write(f"{row},{class_cells[k]},{score!r},{flag}\r\n")
         else:
-            _write_row(fh, writer, row + [label, score, flag])
+            writer.writerow(row + [class_names[k], repr(score), flag])
 
 
 @contextlib.contextmanager
@@ -271,15 +267,18 @@ def cmd_score(args) -> int:
             "run `rpmnet calibrate` and score with the calibrated bundle"
         )
     rows_scored = dropped = 0
-    with contextlib.closing(dataio._iter_records(args.data)) as records:
+    class_names = bundle.params.class_names
+    class_cells = _class_cells(class_names)
+    with contextlib.closing(dataio.iter_records(args.data)) as records:
         header = next(records)
         # checked before --out is created, so a file with no rows is checked too
         positions = dataio.column_positions(header, bundle.feature_names)
         with _atomic_output(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(header + ["predicted_label", "score", "is_unknown"])
-            for features, rows, n_dropped in dataio._iter_feature_blocks(records, positions, len(header)):
-                _write_scored_block(fh, writer, bundle, features, rows)
+            for features, rows, n_dropped in dataio.iter_feature_blocks(records, positions, len(header)):
+                scored = osr.detect(osr.score(bundle.params, bundle.scaler.transform(features)), bundle.threshold)
+                _write_scored_rows(fh, writer, rows, scored, class_names, class_cells)
                 rows_scored += len(rows)
                 dropped += n_dropped
     if dropped:

@@ -47,7 +47,8 @@ __all__ = [
     "OpenSetSplit",
     "BUNDLE_FORMAT",
     "BLOCK_ROWS",
-    "iter_csv_blocks",
+    "iter_records",
+    "iter_feature_blocks",
     "read_csv_rows",
     "column_positions",
     "extract_features",
@@ -71,8 +72,8 @@ ROLE_TEST_UNKNOWN = "test_unknown"
 ROLES = (ROLE_KNOWN, ROLE_VALIDATION_UNKNOWN, ROLE_TEST_UNKNOWN)
 
 BUNDLE_FORMAT = "rpmnet-bundle/1"
-# non-blank CSV records per block: what ``iter_csv_blocks`` yields and what
-# ``load_csv`` and ``rpmnet score`` parse at a time
+# non-blank CSV records per block: what ``iter_feature_blocks`` parses at a
+# time for ``load_csv`` and ``rpmnet score``
 BLOCK_ROWS = 1024
 _MAGIC = b"RPMB"
 
@@ -131,42 +132,52 @@ class FlowDataset:
 # CSV ingestion
 
 
-def iter_csv_blocks(path):
-    """Yield the header of a CSV file (RFC-4180 style, UTF-8; a leading
-    byte-order mark is skipped), then its rows as lists of ``str`` cells,
-    in lists of at most ``BLOCK_ROWS`` rows.  Blank rows are skipped.
-    Every cell comes from ``csv``; :func:`load_csv` and ``rpmnet score``
-    read through ``_iter_records`` instead, which gives the same records
-    without a ``str`` per cell.  The generator keeps no reference to a
-    block it has yielded.  A line ``csv`` cannot parse (such as a cell
-    over its field size limit) is a SchemaError naming the file and
-    line."""
+def _encoding_error(path) -> SchemaError:
+    """The SchemaError for a CSV file that is not UTF-8, naming the line
+    and the byte offset of its first byte that does not decode.  The
+    decoder's own position is relative to its read-ahead chunk, so the
+    file is scanned again in binary."""
+    offset, line_num = 0, 1
+    with open(path, "rb") as fh:
+        # a UTF-8 sequence never holds b"\n", so each piece decodes alone
+        for line in fh:
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                line_num += line[: e.start].count(b"\r")  # a lone CR ends a line too
+                return SchemaError(
+                    f"{path}: line {line_num}: byte 0x{line[e.start]:02x} at byte offset {offset + e.start} "
+                    "is not UTF-8; re-encode the file as UTF-8"
+                )
+            offset += len(line)
+            line_num += len(line.splitlines())
+    return SchemaError(f"{path}: not UTF-8; re-encode the file as UTF-8")
+
+
+def read_csv_rows(path):
+    """Header (stripped) and every non-blank row of a CSV file
+    (RFC-4180 style, UTF-8; a leading byte-order mark is skipped), each
+    row a list of the ``str`` cells ``csv`` reads.  A line ``csv``
+    cannot parse (such as a cell over its field size limit) or a byte
+    that is not UTF-8 is a SchemaError naming the file and line.  This
+    is the reference that :func:`iter_records` must agree with."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise EmptyDatasetError(f"{path}: file has no header row")
-            yield [h.strip() for h in header]
-            rows = filter(None, reader)
-            for first in rows:
-                yield [first, *itertools.islice(rows, BLOCK_ROWS - 1)]
+            return [h.strip() for h in header], list(filter(None, reader))
         except csv.Error as e:
             raise SchemaError(f"{path}: line {reader.line_num}: {e}") from None
+        except UnicodeDecodeError:
+            raise _encoding_error(path) from None
 
 
-def read_csv_rows(path):
-    """Header and every raw string row of a CSV file, as read by
-    ``iter_csv_blocks``."""
-    blocks = iter_csv_blocks(path)
-    header = next(blocks)
-    return header, list(itertools.chain.from_iterable(blocks))
-
-
-def _iter_records(path):
+def iter_records(path):
     """Yield the stripped header of a CSV file, then each non-blank
-    record: the same header and rows as :func:`iter_csv_blocks`, without
-    a ``str`` per cell where numpy can parse the line.
+    record: the same header, rows and errors as :func:`read_csv_rows`,
+    without a ``str`` per cell where numpy can parse the line.
 
     A physical line with no ``"`` is a record on its own, which ``csv``
     splits on commas and nowhere else.  Such a line is yielded as it is,
@@ -190,33 +201,36 @@ def _iter_records(path):
             line_num += reader.line_num
             return row
 
-        first = next(fh, None)
-        if first is None:
-            raise EmptyDatasetError(f"{path}: file has no header row")
-        header = [h.strip() for h in cells(first)]
-        yield header
-        commas, limit = len(header) - 1, csv.field_size_limit()
-        for line in fh:
-            text = line.rstrip("\r\n")
-            if not text:
-                line_num += 1
-            elif (
-                '"' not in text
-                and text.count(",") == commas
-                and text[0] != ","
-                and text[-1] != ","
-                and ",," not in text
-                and len(text) <= limit
-                and text.isprintable()
-            ):
-                line_num += 1
-                yield text
-            else:
-                yield cells(line)
+        try:
+            first = next(fh, None)
+            if first is None:
+                raise EmptyDatasetError(f"{path}: file has no header row")
+            header = [h.strip() for h in cells(first)]
+            yield header
+            commas, limit = len(header) - 1, csv.field_size_limit()
+            for line in fh:
+                text = line.rstrip("\r\n")
+                if not text:
+                    line_num += 1
+                elif (
+                    '"' not in text
+                    and text.count(",") == commas
+                    and text[0] != ","
+                    and text[-1] != ","
+                    and ",," not in text
+                    and len(text) <= limit
+                    and text.isprintable()
+                ):
+                    line_num += 1
+                    yield text
+                else:
+                    yield cells(line)
+        except UnicodeDecodeError:
+            raise _encoding_error(path) from None
 
 
 def _parse_block(records, positions, width):
-    """Parse one block of records from :func:`_iter_records` the way
+    """Parse one block of records from :func:`iter_records` the way
     :func:`extract_features` parses rows; returns (features, kept
     records, dropped count).
 
@@ -249,14 +263,17 @@ def _parse_block(records, positions, width):
     return features[parsed], [records[i] for i in kept], n - len(kept)
 
 
-def _iter_feature_blocks(records, positions, width):
-    """:func:`_parse_block` of each run of ``BLOCK_ROWS`` records."""
+def iter_feature_blocks(records, positions, width):
+    """Parse the records of :func:`iter_records` after its header,
+    ``BLOCK_ROWS`` at a time, at the feature ``positions`` of a header of
+    ``width`` columns; yield (features, kept records, dropped count) for
+    each block, as :func:`_parse_block` gives them."""
     for first in records:
         yield _parse_block([first, *itertools.islice(records, BLOCK_ROWS - 1)], positions, width)
 
 
 def _cell(record, pos, width):
-    """Cell ``pos`` of a record from :func:`_iter_records`; a line is
+    """Cell ``pos`` of a record from :func:`iter_records`; a line is
     split from its nearer end only."""
     if not isinstance(record, str):
         return record[pos]
@@ -323,9 +340,9 @@ def extract_features(header, rows, feature_names):
     Returns (features, kept_row_indices, dropped_count).  A row is
     dropped when it has the wrong number of cells or any feature cell is
     non-numeric, NaN, or infinite.  The header is checked by
-    :func:`column_positions`.  This is the per-row parser that
-    :func:`load_csv` and ``rpmnet score`` use for the records numpy
-    cannot take; one finiteness mask then drops the NaN/Inf rows.
+    :func:`column_positions`.  With :func:`read_csv_rows` it is the
+    whole-file reference that tests hold :func:`iter_feature_blocks` to;
+    both parse cells with :func:`_parse_rows`.
     """
     positions = column_positions(header, feature_names)
     features, parsed = _parse_rows(rows, positions, len(header))
@@ -342,7 +359,7 @@ def load_csv(path, feature_names=None, label_column: str = "label"):
     ``BLOCK_ROWS`` records at a time, so its raw text is never held
     whole; only the parsed features and the labels of kept rows are.
     """
-    with contextlib.closing(_iter_records(path)) as records:
+    with contextlib.closing(iter_records(path)) as records:
         header = next(records)
         if feature_names is None:
             feature_names = [h for h in header if h != label_column]
@@ -350,7 +367,7 @@ def load_csv(path, feature_names=None, label_column: str = "label"):
         *positions, label_pos = column_positions(header, feature_names + [label_column])
         width = len(header)
         blocks, labels, vocabulary, dropped = [], [], {}, 0
-        for features, kept, n_dropped in _iter_feature_blocks(records, positions, width):
+        for features, kept, n_dropped in iter_feature_blocks(records, positions, width):
             blocks.append(features)
             # rows of one class share one str object
             labels += [vocabulary.setdefault(c, c) for c in (_cell(r, label_pos, width) for r in kept)]
@@ -542,32 +559,25 @@ def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed
         )
 
     rng = np.random.default_rng(seed)
-    train_idx: list = []
-    test_idx: list = []
-    val_unknown_idx: list = []
-    test_unknown_idx: list = []
     codes = encode_labels(dataset.labels, names)
+    # each row's partition: 0 known-train, 1 known-test, 2 val-unknown, 3 test-unknown
+    part = np.empty(len(codes), dtype=np.int8)
     for k, (name, role) in enumerate(zip(names, role_of)):
         idx = np.flatnonzero(codes == k)
         if role == ROLE_VALIDATION_UNKNOWN:
-            val_unknown_idx.extend(idx.tolist())
+            part[idx] = 2
         elif role == ROLE_TEST_UNKNOWN:
-            test_unknown_idx.extend(idx.tolist())
+            part[idx] = 3
         else:
             if idx.size < 2:
                 raise ValueError(f"known class {name!r} needs at least 2 samples, has {idx.size}")
             perm = rng.permutation(idx)
             n_train = int(round(ratio * idx.size))
             n_train = min(max(n_train, 1), idx.size - 1)
-            train_idx.extend(perm[:n_train].tolist())
-            test_idx.extend(perm[n_train:].tolist())
+            part[perm[:n_train]] = 0
+            part[perm[n_train:]] = 1
 
-    return OpenSetSplit(
-        known_train=dataset.take(sorted(train_idx)),
-        known_test=dataset.take(sorted(test_idx)),
-        val_unknown=dataset.take(sorted(val_unknown_idx)),
-        test_unknown=dataset.take(sorted(test_unknown_idx)),
-    )
+    return OpenSetSplit(*(dataset.take(np.flatnonzero(part == p)) for p in range(4)))
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,6 @@ def evaluate(
     known_features: np.ndarray,
     known_labels,
     unknown_features: np.ndarray | None,
-    class_names=None,
 ) -> EvalReport:
     """Full open-set evaluation of a trained, calibrated model.
 
@@ -193,7 +192,7 @@ def evaluate(
     outside the K classes).  The confusion matrix records raw argmax
     predictions so its rows always sum to the class supports.
     """
-    class_names = tuple(class_names if class_names is not None else params.class_names)
+    class_names = params.class_names
     k = len(class_names)
     y = np.asarray(known_labels, dtype=np.int64)
 

@@ -200,7 +200,6 @@ def test_criterion_5_synthetic_end_to_end():
         scaler.transform(split.known_test.features),
         y,
         scaler.transform(unknown[200:]),
-        params.class_names,
     )
     elapsed = time.monotonic() - started
     assert result.macro.f1 >= 0.95, f"macro F1 {result.macro.f1:.4f}"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import rpmnet.dataio as dio
 import rpmnet.openset as osr
-from rpmnet.cli import _write_row, main
+from rpmnet.cli import _class_cells, _write_scored_rows, main
 from rpmnet.synthetic import gaussian_clusters
 
 
@@ -504,33 +504,75 @@ def test_score_oversized_cell_names_file_and_line(workspace, monkeypatch, capsys
     assert set(workspace["dir"].iterdir()) == listing
 
 
-CSV_CELL = st.text(
+def _with_cp1252_label(ws, line_no):
+    """The fixture CSV with the label of file line ``line_no`` (1-based)
+    written with the cp1252 dash 0x96, as in CICIDS2017's web-attack
+    labels; returns the path and the file offset of that byte."""
+    lines = (ws["dir"] / "flows.csv").read_bytes().split(b"\n")
+    head = lines[line_no - 1].rsplit(b",", 1)[0] + b",Web Attack "
+    lines[line_no - 1] = head + b"\x96 Brute Force\r"
+    path = ws["dir"] / "cp1252.csv"
+    path.write_bytes(b"\n".join(lines))
+    return path, sum(len(line) + 1 for line in lines[: line_no - 1]) + len(head)
+
+
+def test_non_utf8_byte_names_file_line_and_offset(workspace, monkeypatch, capsys):
+    """The byte sits in the third block, past the decoder's first
+    read-ahead chunk; calibrate and score stop with the file, line and
+    offset, and score leaves no --out and no temporary file."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 64)
+    data, offset = _with_cp1252_label(workspace, 150)
+    assert offset > 8192
+    message = f"{data}: line 150: byte 0x96 at byte offset {offset} is not UTF-8; re-encode the file as UTF-8"
+    capsys.readouterr()
+    assert main(["calibrate", "--bundle", workspace["bundle"], "--data", str(data), "--roles", workspace["roles"],
+                 "--out", str(workspace["dir"] / "cp1252.cal.bundle")]) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    out = workspace["dir"] / "scored.csv"
+    listing = set(workspace["dir"].iterdir())
+    assert _score(workspace, data, out) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert set(workspace["dir"].iterdir()) == listing
+
+
+CLASS_NAME = st.text(
     st.one_of(st.sampled_from(',"\r\n \t'), st.characters(blacklist_categories=("Cs",))), max_size=6
 )
 
 
-@given(st.lists(CSV_CELL, min_size=4, max_size=8))
-@example(["1.5", "", "BENIGN", "0.25"])
-@example(["a,b", 'say "hi"', "x\r\ny", ""])
+@given(CLASS_NAME, st.floats(allow_nan=False, allow_infinity=False), st.booleans())
+@example("", 0.5, False)
+@example('Web Attack \u2013 "XSS", v2\r\n', -1.25e-07, True)
 @settings(max_examples=300, deadline=None)
-def test_write_row_matches_csv_writer(cells):
+def test_scored_rows_match_csv_writer(name, score, unknown):
+    """A line that numpy parsed, written with the class name's
+    precomputed cell, and a row of cells give csv.writer's bytes."""
+    cells = ["1.5", "-2", "0.25", "BENIGN"]
+    rows = [",".join(cells), cells, ",".join(cells)]
+    class_names = ("other", name)
+    scored = osr.ScoredBatch(distances=None, scores=np.full(3, score), predicted=np.array([1, 1, 0]),
+                             is_unknown=np.full(3, unknown))
     fast, ref = io.StringIO(newline=""), io.StringIO(newline="")
-    _write_row(fast, csv.writer(fast), cells)
-    csv.writer(ref).writerow(cells)
+    _write_scored_rows(fast, csv.writer(fast), rows, scored, class_names, _class_cells(class_names))
+    flag = "true" if unknown else "false"
+    csv.writer(ref).writerows(cells + [class_names[k], repr(score), flag] for k in (1, 1, 0))
     assert fast.getvalue() == ref.getvalue()
 
 
 def test_score_quoted_cells_match_csv_writer(workspace):
     """Passthrough cells that need quoting (a comma, a doubled quote, an
-    embedded newline) and a class name with a comma give exactly the bytes
-    csv.writer writes for the same cells."""
+    embedded newline) and class names with a comma or a quote give exactly
+    the bytes csv.writer writes for the same cells."""
     header, rows = dio.read_csv_rows(workspace["data"])
-    renamed = [r[:4] + ["dos, syn" if r[4] == "dos" else r[4]] for r in rows]
+    new_names = {"dos": "dos, syn", "scan": 'scan "slow"'}
+    renamed = [r[:4] + [new_names.get(r[4], r[4])] for r in rows]
     train_csv = workspace["dir"] / "comma_class.csv"
     with open(train_csv, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *renamed])
     roles = workspace["dir"] / "comma_roles.json"
-    roles.write_text(json.dumps({"known": ["dos, syn", "scan", "bruteforce"],
+    roles.write_text(json.dumps({"known": ["dos, syn", 'scan "slow"', "bruteforce"],
                                  "validation_unknown": ["nov_val"], "test_unknown": ["nov_test"]}))
     bundle, calibrated = workspace["dir"] / "c.bundle", workspace["dir"] / "c.cal.bundle"
     assert main(["train", "--data", str(train_csv), "--roles", str(roles), "--config", workspace["config"],
@@ -550,7 +592,7 @@ def test_score_quoted_cells_match_csv_writer(workspace):
     out_header, out_rows = dio.read_csv_rows(out)
     assert out_header == in_header + ["predicted_label", "score", "is_unknown"]
     assert len(out_rows) == len(in_rows)
-    assert "dos, syn" in {r[-3] for r in out_rows}
+    assert {"dos, syn", 'scan "slow"'} <= {r[-3] for r in out_rows}
     reference = io.StringIO(newline="")
     csv.writer(reference).writerows([out_header, *(r + o[-3:] for r, o in zip(in_rows, out_rows))])
     assert out.read_bytes() == reference.getvalue().encode("utf-8")

@@ -373,6 +373,26 @@ def test_load_csv_oracle_covers_both_parsers(tmp_path, monkeypatch):
         assert dropped == ref_dropped == 4
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_non_utf8_byte_names_file_line_and_offset(tmp_path, monkeypatch, end):
+    """A cp1252 dash in a label of the third block, past the decoder's
+    first read-ahead chunk, is a SchemaError naming the file, the line and
+    the byte's offset in the file; both readers give the same message."""
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 64)
+    lines = ["f0,f1,f2,f3,label"] + [",".join(f"{i}.{j}23456789" for j in range(4)) + ",Benign" for i in range(400)]
+    data = [line.encode("utf-8") for line in lines]
+    data[149] = data[149].replace(b"Benign", b"Web Attack \x96 Brute Force")
+    path = tmp_path / "cp1252.csv"
+    path.write_bytes(end.encode().join(data) + end.encode())
+    offset = sum(len(line) + len(end) for line in data[:149]) + data[149].index(b"\x96")
+    assert offset > 8192
+    message = f"{path}: line 150: byte 0x96 at byte offset {offset} is not UTF-8; re-encode the file as UTF-8"
+    with pytest.raises(dio.SchemaError) as raised:
+        dio.load_csv(str(path))
+    assert str(raised.value) == message
+    assert outcome(reference_load_csv, str(path), None) == (dio.SchemaError, message)
+
+
 def test_load_csv_memory_is_bounded_by_the_matrix(tmp_path, monkeypatch):
     """load_csv holds one block of raw text at a time: its traced peak on
     a file of 16 blocks stays within 3x the float64 matrix it returns
@@ -493,8 +513,9 @@ def test_split_proportions_within_one_sample(na, nb):
 
 
 def split_oracle(labels, roles, ratio, seed):
-    """Row ids of each partition, by the split's original formulas: one
-    object-array comparison per class, in sorted class order."""
+    """Row ids of each partition, by the split's original list-based
+    formulas: one object-array comparison per class, in sorted class
+    order, and a sorted list of row ids per partition."""
     assigned = {}
     for name in sorted(set(labels)):
         role = roles.role_of(name)
