@@ -1,4 +1,5 @@
-"""A tour of the tape-based autodiff engine the models train on.
+"""A tour of the tape-based autodiff engine: the reference that the
+fused numpy training and inference code is tested against, bit for bit.
 
 Values are computed eagerly; gradients flow backward through the
 recorded tape. Everything is float64 numpy underneath.

@@ -6,13 +6,15 @@ knowns only. Half of a held-out unknown cluster calibrates the
 rejection threshold; the other half plays the role of a novel attack at
 test time.
 """
+from collections import Counter
+
 from rpmnet import TrainConfig, calibrate, evaluate, fit_scaler, make_split, train
 from rpmnet.dataio import ClassRoles, encode_labels
 from rpmnet.openset import detect, score
 from rpmnet.synthetic import open_set_fixture
 
 known, unknown = open_set_fixture(seed=42)
-print("known classes:", dict(sorted(known.class_counts().items())))
+print("known classes:", dict(sorted(Counter(known.labels).items())))
 print("unknown cluster:", unknown.shape[0], "flows the model never sees in training")
 
 roles = ClassRoles(known=tuple(sorted(set(known.labels))))

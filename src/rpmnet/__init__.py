@@ -24,7 +24,7 @@ from .dataio import (
     save_bundle,
     save_csv,
 )
-from .losses import LossBreakdown, ce_loss, fisher_loss, margin_loss, total_loss
+from .losses import LossBreakdown, ce_loss, fisher_loss, margin_loss
 from .metrics import REJECTED, EvalReport, aupr, auroc, evaluate, macro_prf
 from .model import ModelParams, class_distances, embed, init_params, logits, reciprocal_distance
 from .openset import ScoredBatch, Threshold, calibrate, detect, msp_score, score
@@ -51,7 +51,6 @@ __all__ = [
     "ce_loss",
     "fisher_loss",
     "margin_loss",
-    "total_loss",
     "REJECTED",
     "EvalReport",
     "aupr",

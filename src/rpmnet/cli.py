@@ -94,9 +94,19 @@ def _load_train_config(path, seed_override) -> TrainConfig:
 
 
 def _load_split(data_path, roles, feature_names, label_column, seed):
+    """``(split, dropped)``; the loaded dataset is freed on return."""
     dataset, dropped = dataio.load_csv(data_path, feature_names=feature_names, label_column=label_column)
-    split = dataio.make_split(dataset, roles, ratio=0.8, seed=seed)
-    return dataset, split, dropped
+    return dataio.make_split(dataset, roles, ratio=0.8, seed=seed), dropped
+
+
+def _load_calibrated_bundle(path) -> dataio.Bundle:
+    bundle = dataio.load_bundle(path)
+    if bundle.threshold is None:
+        raise CliError(
+            f"{path}: bundle has no rejection threshold, so unknown traffic cannot be flagged; "
+            "run `rpmnet calibrate` and use the bundle it writes"
+        )
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +118,7 @@ def cmd_train(args) -> int:
     _refuse_in_place(args, "out", ("data", "roles", "config"), ("", ".history.txt", ".manifest.json"))
     config = _load_train_config(args.config, args.seed)
     roles = dataio.load_roles(args.roles)
-    dataset, split, dropped = _load_split(
-        args.data, roles, roles.feature_names, roles.label_column, config.seed
-    )
+    split, dropped = _load_split(args.data, roles, roles.feature_names, roles.label_column, config.seed)
     scaler = dataio.fit_scaler(split.known_train.features)
     class_names = tuple(sorted(roles.known))
     params, history = train(
@@ -120,7 +128,7 @@ def cmd_train(args) -> int:
         params=params,
         scaler=scaler,
         config=config,
-        feature_names=dataset.feature_names,
+        feature_names=split.known_train.feature_names,
         label_column=roles.label_column,
         threshold=None,
     )
@@ -148,9 +156,7 @@ def cmd_calibrate(args) -> int:
     _refuse_in_place(args, "out", ("bundle", "data", "roles"))
     bundle = dataio.load_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
-    _, split, _ = _load_split(
-        args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed
-    )
+    split, _ = _load_split(args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed)
     if len(split.val_unknown) == 0:
         raise CliError(
             f"no validation-unknown samples in {args.data}; check the validation_unknown classes in {args.roles}"
@@ -177,13 +183,9 @@ def cmd_calibrate(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     _refuse_in_place(args, "report", ("bundle", "data", "roles"))
-    bundle = dataio.load_bundle(args.bundle)
-    if bundle.threshold is None:
-        raise CliError("bundle has no rejection threshold; run `rpmnet calibrate` first")
+    bundle = _load_calibrated_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
-    _, split, _ = _load_split(
-        args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed
-    )
+    split, _ = _load_split(args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed)
     y = dataio.encode_labels(split.known_test.labels, bundle.params.class_names)
     unknown = bundle.scaler.transform(split.test_unknown.features) if len(split.test_unknown) else None
     report = mx.evaluate(
@@ -260,12 +262,7 @@ def cmd_score(args) -> int:
     time), so memory does not grow with the file."""
     started = time.time()
     _refuse_in_place(args, "out", ("bundle", "data"))
-    bundle = dataio.load_bundle(args.bundle)
-    if bundle.threshold is None:
-        raise CliError(
-            "bundle has no rejection threshold, so unknown detection is impossible; "
-            "run `rpmnet calibrate` and score with the calibrated bundle"
-        )
+    bundle = _load_calibrated_bundle(args.bundle)
     rows_scored = dropped = 0
     class_names = bundle.params.class_names
     class_cells = _class_cells(class_names)
@@ -310,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model and write an uncalibrated bundle")
     p_train.add_argument("--data", required=True, help="labelled flow CSV")
     p_train.add_argument("--roles", required=True, help="class-roles JSON config")
-    p_train.add_argument("--config", help="training config JSON (flags override its keys)")
+    p_train.add_argument("--config", help="training config JSON (--seed overrides its seed)")
     p_train.add_argument("--out", required=True, help="output bundle path")
     p_train.add_argument("--seed", type=int, help="override the config seed")
     p_train.set_defaults(func=cmd_train)

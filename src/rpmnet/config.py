@@ -44,6 +44,8 @@ class TrainConfig:
             raise ValueError("logit_scale must be positive")
         if len(self.hidden_dims) != 2:
             raise ValueError("hidden_dims must name exactly two hidden layer sizes")
+        if min(self.hidden_dims) < 1:
+            raise ValueError("hidden_dims sizes must be >= 1")
         if min(self.ce_weight, self.margin_weight, self.fisher_weight) < 0:
             raise ValueError("loss weights must be non-negative")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))

@@ -121,12 +121,6 @@ class FlowDataset:
             feature_names=self.feature_names,
         )
 
-    def class_counts(self) -> dict:
-        out: dict = {}
-        for label in self.labels:
-            out[label] = out.get(label, 0) + 1
-        return out
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -419,9 +413,6 @@ class Scaler:
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
-    def inverse_transform(self, scaled: np.ndarray) -> np.ndarray:
-        return np.asarray(scaled, dtype=np.float64) * self.std + self.mean
-
 
 def fit_scaler(features: np.ndarray) -> Scaler:
     x = np.asarray(features, dtype=np.float64)
@@ -479,8 +470,10 @@ def load_roles(path) -> ClassRoles:
     """Read a roles config: a JSON object with ``known``/
     ``validation_unknown``/``test_unknown`` class-name lists, plus
     optional ``default`` role, ``label_column``, and ``feature_names``
-    (``default`` and ``feature_names`` may be null).  Values are checked,
-    not coerced; a wrong type is a RolesError naming the key."""
+    (``default`` and ``feature_names`` may be null; null feature names
+    mean every non-label column).  Values are checked, not coerced; a
+    wrong type or an empty ``feature_names`` is a RolesError naming the
+    key."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -505,13 +498,15 @@ def load_roles(path) -> ClassRoles:
     if not raw.get("known"):
         raise RolesError(f"{path}: at least one known class is required")
     fn = raw.get("feature_names")
+    if fn == []:
+        raise RolesError(f"{path}: roles key 'feature_names' is empty; list the feature columns, or null for all")
     return ClassRoles(
         known=tuple(raw.get("known", ())),
         validation_unknown=tuple(raw.get("validation_unknown", ())),
         test_unknown=tuple(raw.get("test_unknown", ())),
         default=raw.get("default"),
         label_column=raw.get("label_column", "label"),
-        feature_names=tuple(fn) if fn else None,
+        feature_names=None if fn is None else tuple(fn),
     )
 
 
@@ -673,8 +668,6 @@ def load_bundle(path) -> Bundle:
             reciprocal_points=arrays["points"],
             raw_margins=arrays["raw_margins"],
             logit_scale=float(manifest["logit_scale"]),
-            input_dim=int(manifest["input_dim"]),
-            embed_dim=int(manifest["embed_dim"]),
             class_names=tuple(manifest["class_names"]),
         )
         scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])

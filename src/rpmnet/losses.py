@@ -41,9 +41,6 @@ class LossBreakdown:
     margin: float
     fisher: float
     total: float
-    ce_weight: float
-    margin_weight: float
-    fisher_weight: float
 
 
 def _labels_array(labels, num_classes: int) -> np.ndarray:
@@ -143,9 +140,6 @@ def total_loss(
         margin=margin.item(),
         fisher=fisher.item(),
         total=root.item(),
-        ce_weight=config.ce_weight,
-        margin_weight=config.margin_weight,
-        fisher_weight=config.fisher_weight,
     )
     return breakdown, root, leaves
 
@@ -264,10 +258,7 @@ def loss_and_grads(
         grads[f"W{layer}"] = inputs.T @ g
         grads[f"b{layer}"] = g.sum(axis=0)
 
-    breakdown = LossBreakdown(
-        ce=float(ce), margin=float(margin), fisher=float(fisher), total=float(total),
-        ce_weight=cw, margin_weight=mw, fisher_weight=fw,
-    )
+    breakdown = LossBreakdown(ce=float(ce), margin=float(margin), fisher=float(fisher), total=float(total))
     return breakdown, {name: mdl.check_finite(f"gradient of {name}", grads[name]) for name in mdl.PARAM_NAMES}
 
 

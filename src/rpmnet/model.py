@@ -43,7 +43,8 @@ class ModelParams:
 
     ``raw_margins`` has shape (K, 1); the effective per-class margin is
     ``softplus(raw_margins)``, which keeps margins positive with live
-    gradients.  ``logit_scale`` is fixed (not trained).
+    gradients.  ``logit_scale`` is fixed (not trained).  ``input_dim``
+    and ``embed_dim`` are read off the tensors that define them.
     """
 
     weights: tuple  # three (fan_in, fan_out) matrices
@@ -51,9 +52,15 @@ class ModelParams:
     reciprocal_points: np.ndarray  # (K, embed_dim)
     raw_margins: np.ndarray  # (K, 1)
     logit_scale: float
-    input_dim: int
-    embed_dim: int
     class_names: tuple
+
+    @property
+    def input_dim(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def embed_dim(self) -> int:
+        return self.reciprocal_points.shape[1]
 
     @property
     def num_classes(self) -> int:
@@ -108,8 +115,6 @@ def init_params(input_dim: int, class_names, config: TrainConfig, rng: np.random
         reciprocal_points=points,
         raw_margins=raw_margins,
         logit_scale=float(config.logit_scale),
-        input_dim=int(input_dim),
-        embed_dim=int(config.embed_dim),
         class_names=class_names,
     )
 

@@ -19,12 +19,11 @@ __all__ = ["ScoredBatch", "Threshold", "score", "detect", "calibrate", "max_soft
 
 @dataclass(frozen=True)
 class ScoredBatch:
-    """Per-sample distances, max-distance scores, and argmax predictions.
+    """Per-sample max-distance scores and argmax predictions.
 
     ``is_unknown`` stays None until :func:`detect` applies a threshold.
     """
 
-    distances: np.ndarray  # (N, K)
     scores: np.ndarray  # (N,)
     predicted: np.ndarray  # (N,) int, argmax over distances
     is_unknown: np.ndarray | None = None
@@ -67,7 +66,6 @@ def score(params: mdl.ModelParams, x: np.ndarray) -> ScoredBatch:
     """
     distances = mdl.class_distances(params, x)
     return ScoredBatch(
-        distances=distances,
         scores=np.max(distances, axis=1),
         predicted=np.argmax(distances, axis=1),
     )

@@ -93,7 +93,7 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     ``ModelParams`` and the per-epoch history.
     """
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
+    if x.ndim != 2 or x.size == 0:
         raise ValueError(f"training features must be a non-empty 2-D matrix, got shape {x.shape}")
     class_names = tuple(sorted(set(labels)) if class_names is None else class_names)
     y = encode_labels(labels, class_names)

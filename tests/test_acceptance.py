@@ -105,7 +105,7 @@ def test_criterion_2_loss_value_oracles(rng):
         return mdl.ModelParams(
             weights=(eye, eye, eye), biases=(np.zeros(2),) * 3,
             reciprocal_points=points, raw_margins=raw, logit_scale=1.0,
-            input_dim=2, embed_dim=2, class_names=tuple("ab"[: len(margins)]),
+            class_names=tuple("ab"[: len(margins)]),
         )
 
     p = margin_fixture([1.0])

@@ -3,12 +3,14 @@ import io
 import json
 import shutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rpmnet.cli as cli
 import rpmnet.dataio as dio
 import rpmnet.openset as osr
 from rpmnet.cli import _class_cells, _write_scored_rows, main
@@ -129,6 +131,36 @@ def test_train_invalid_roles_names_class(workspace, capsys):
                "--config", workspace["config"], "--out", workspace["bundle"]])
     assert rc == 1
     assert "nov_test" in capsys.readouterr().err
+
+
+def test_train_csv_without_feature_columns_is_an_error(workspace, capsys):
+    data = workspace["dir"] / "labels_only.csv"
+    data.write_text("label\n" + "dos\nscan\nbruteforce\nnov_val\nnov_test\n" * 4)
+    rc = main(["train", "--data", str(data), "--roles", workspace["roles"], "--config", workspace["config"],
+               "--out", workspace["bundle"]])
+    assert rc == 1
+    assert "error: training features must be a non-empty 2-D matrix, got shape (9, 0)" in capsys.readouterr().err
+    assert not (workspace["dir"] / "model.bundle").exists()
+
+
+def test_train_frees_the_dataset_before_training(workspace, monkeypatch):
+    """Only the split reaches training; the whole loaded dataset is gone
+    by then."""
+    loaded = []
+    load_csv, train = dio.load_csv, cli.train
+
+    def keep_ref(*args, **kwargs):
+        dataset, dropped = load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(dataset))
+        return dataset, dropped
+
+    def check_freed(*args, **kwargs):
+        assert len(loaded) == 1 and loaded[0]() is None
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(dio, "load_csv", keep_ref)
+    monkeypatch.setattr(cli, "train", check_freed)
+    assert run_train(workspace) == 0
 
 
 def test_calibrate_flow(workspace, capsys):
@@ -552,7 +584,7 @@ def test_scored_rows_match_csv_writer(name, score, unknown):
     cells = ["1.5", "-2", "0.25", "BENIGN"]
     rows = [",".join(cells), cells, ",".join(cells)]
     class_names = ("other", name)
-    scored = osr.ScoredBatch(distances=None, scores=np.full(3, score), predicted=np.array([1, 1, 0]),
+    scored = osr.ScoredBatch(scores=np.full(3, score), predicted=np.array([1, 1, 0]),
                              is_unknown=np.full(3, unknown))
     fast, ref = io.StringIO(newline=""), io.StringIO(newline="")
     _write_scored_rows(fast, csv.writer(fast), rows, scored, class_names, _class_cells(class_names))

@@ -23,8 +23,6 @@ def params_with(points, margins):
         reciprocal_points=points,
         raw_margins=raw,
         logit_scale=1.0,
-        input_dim=m,
-        embed_dim=m,
         class_names=tuple(f"c{i}" for i in range(k)),
     )
 

@@ -26,8 +26,6 @@ def identity_params(d, class_names, points):
         reciprocal_points=np.asarray(points, dtype=np.float64),
         raw_margins=np.full((len(points), 1), np.log(np.e - 1.0)),
         logit_scale=1.0,
-        input_dim=d,
-        embed_dim=d,
         class_names=tuple(class_names),
     )
 

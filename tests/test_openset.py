@@ -20,8 +20,6 @@ def identity_params(points):
         reciprocal_points=points,
         raw_margins=np.full((k, 1), np.log(np.e - 1.0)),
         logit_scale=1.0,
-        input_dim=m,
-        embed_dim=m,
         class_names=tuple(f"c{i}" for i in range(k)),
     )
 
@@ -63,7 +61,7 @@ def test_sample_at_its_own_point_scores_on_others():
     points = np.array([[2.0, 1.0], [-6.0, -6.0]])
     p = identity_params(points)
     batch = osr.score(p, points[:1])
-    assert batch.distances[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert mdl.class_distances(p, points[:1])[0, 0] == pytest.approx(-1.0, abs=1e-12)
     assert batch.scores[0] > 0
     assert batch.predicted[0] == 1
     assert batch.is_unknown is None
@@ -73,7 +71,7 @@ def test_single_class_score_is_that_distance():
     p = identity_params(np.array([[1.5, 0.5]]))
     x = np.array([[0.3, 0.9], [2.0, 2.0]])
     batch = osr.score(p, x)
-    assert np.array_equal(batch.scores, batch.distances[:, 0])
+    assert np.array_equal(batch.scores, mdl.class_distances(p, x)[:, 0])
     assert np.array_equal(batch.predicted, [0, 0])
 
 
@@ -96,7 +94,6 @@ def test_scale_preserves_argmax_and_ordering(rng):
 
 def test_score_equal_to_tau_stays_known():
     scored = osr.ScoredBatch(
-        distances=np.array([[1.0], [2.0]]),
         scores=np.array([1.0, 2.0]),
         predicted=np.array([0, 0]),
     )
@@ -107,7 +104,6 @@ def test_score_equal_to_tau_stays_known():
 
 def test_infinite_taus_are_all_or_nothing():
     scored = osr.ScoredBatch(
-        distances=np.zeros((3, 1)),
         scores=np.array([-5.0, 0.0, 5.0]),
         predicted=np.zeros(3, dtype=np.int64),
     )
@@ -119,7 +115,6 @@ def test_infinite_taus_are_all_or_nothing():
 
 def test_tau_between_clusters_splits_exactly():
     scored = osr.ScoredBatch(
-        distances=np.zeros((4, 1)),
         scores=np.array([0.1, 0.2, 3.1, 3.4]),
         predicted=np.zeros(4, dtype=np.int64),
     )

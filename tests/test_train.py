@@ -42,6 +42,8 @@ def blob_data(seed=5, n=100):
         ({"hidden_dims": [32, 16.0]}, "config key 'hidden_dims' must be a list of two integers"),
         ({"hidden_dims": [32, True]}, "config key 'hidden_dims' must be a list of two integers"),
         ({"hidden_dims": "32,16"}, "config key 'hidden_dims' must be a list of two integers"),
+        ({"hidden_dims": [0, 5]}, "hidden_dims sizes must be >= 1"),
+        ({"hidden_dims": [-1, 5]}, "hidden_dims sizes must be >= 1"),
     ],
 )
 def test_config_from_dict_rejects_wrong_value_types(raw, message):
@@ -191,6 +193,8 @@ def test_divergence_masked_by_relu_still_aborts():
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         train(np.zeros((0, 3)), [], tiny_config())
+    with pytest.raises(ValueError, match=r"non-empty 2-D matrix, got shape \(4, 0\)"):
+        train(np.zeros((4, 0)), ["a", "a", "b", "b"], tiny_config())
 
 
 # ---------------------------------------------------------------------------
