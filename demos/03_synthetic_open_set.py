@@ -8,6 +8,8 @@ test time.
 """
 from collections import Counter
 
+import numpy as np
+
 from rpmnet import TrainConfig, calibrate, evaluate, fit_scaler, make_split, train
 from rpmnet.dataio import ClassRoles, encode_labels
 from rpmnet.openset import detect, score
@@ -18,24 +20,26 @@ print("known classes:", dict(sorted(Counter(known.labels).items())))
 print("unknown cluster:", unknown.shape[0], "flows the model never sees in training")
 
 roles = ClassRoles(known=tuple(sorted(set(known.labels))))
-split = make_split(known, roles, ratio=0.8, seed=42)
-scaler = fit_scaler(split.known_train.features)
+part = make_split(known.labels, roles, ratio=0.8, seed=42)  # 0 known-train, 1 known-test
+labels = np.array(known.labels)
+train_x, test_x = known.features[part == 0], known.features[part == 1]
+scaler = fit_scaler(train_x)
 
 config = TrainConfig(seed=42)
-params, history = train(scaler.transform(split.known_train.features),
-                        split.known_train.labels, config)
+params, history = train(scaler.transform(train_x), labels[part == 0].tolist(), config)
 print(f"\ntrained {config.epochs} epochs; final train accuracy {history[-1].accuracy:.3f}")
 
-known_scores = score(params, scaler.transform(split.known_train.features)).scores
+known_scores = score(params, scaler.transform(train_x)).scores
 val_scores = score(params, scaler.transform(unknown[:200])).scores
 threshold = calibrate(known_scores, val_scores)
 print(f"calibrated tau = {threshold.tau:.4f} "
       f"(validation unknown-F1 {threshold.calibration_stats['f1']:.3f})")
 
-y = encode_labels(split.known_test.labels, params.class_names)
-report = evaluate(params, threshold,
-                  scaler.transform(split.known_test.features), y,
-                  scaler.transform(unknown[200:]))
+# evaluate reads scores and argmax predictions; it does not run the model
+test = score(params, scaler.transform(test_x))
+y = encode_labels(labels[part == 1], params.class_names)
+report = evaluate(params.class_names, threshold, test.scores, test.predicted, y,
+                  score(params, scaler.transform(unknown[200:])).scores)
 
 print("\nknown-class metrics (rejected knowns count as errors):")
 for name, m in report.per_class.items():

@@ -14,13 +14,13 @@ from rpmnet.synthetic import open_set_fixture
 
 known, unknown = open_set_fixture(seed=42)
 roles = ClassRoles(known=tuple(sorted(set(known.labels))))
-split = make_split(known, roles, ratio=0.8, seed=42)
-scaler = fit_scaler(split.known_train.features)
+part = make_split(known.labels, roles, ratio=0.8, seed=42)  # 0 known-train, 1 known-test
+scaler = fit_scaler(known.features[part == 0])
 
-params, _ = train(scaler.transform(split.known_train.features),
-                  split.known_train.labels, TrainConfig(seed=42))
+params, _ = train(scaler.transform(known.features[part == 0]),
+                  np.array(known.labels)[part == 0].tolist(), TrainConfig(seed=42))
 
-known_x = scaler.transform(split.known_test.features)
+known_x = scaler.transform(known.features[part == 1])
 unknown_x = scaler.transform(unknown)
 flags = np.concatenate([np.ones(len(known_x), dtype=bool), np.zeros(len(unknown_x), dtype=bool)])
 

@@ -12,7 +12,6 @@ from .dataio import (
     Bundle,
     ClassRoles,
     FlowDataset,
-    OpenSetSplit,
     Scaler,
     encode_labels,
     fit_scaler,
@@ -36,7 +35,6 @@ __all__ = [
     "Bundle",
     "ClassRoles",
     "FlowDataset",
-    "OpenSetSplit",
     "Scaler",
     "encode_labels",
     "fit_scaler",

@@ -20,6 +20,8 @@ import time
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from . import autodiff as ad
 from . import dataio
@@ -31,6 +33,7 @@ from .train import TrainingDivergedError, format_history, train
 log = logging.getLogger("rpmnet.cli")
 
 HEADLINE_KEYS = ("precision", "recall", "f1_score", "auroc", "aupr_in", "aupr_out")
+PARTITIONS = ("known_train", "known_test", "validation_unknown", "test_unknown")
 
 
 class CliError(ValueError):
@@ -93,12 +96,6 @@ def _load_train_config(path, seed_override) -> TrainConfig:
     return config if seed_override is None else replace(config, seed=seed_override)
 
 
-def _load_split(data_path, roles, feature_names, label_column, seed):
-    """``(split, dropped)``; the loaded dataset is freed on return."""
-    dataset, dropped = dataio.load_csv(data_path, feature_names=feature_names, label_column=label_column)
-    return dataio.make_split(dataset, roles, ratio=0.8, seed=seed), dropped
-
-
 def _load_calibrated_bundle(path) -> dataio.Bundle:
     bundle = dataio.load_bundle(path)
     if bundle.threshold is None:
@@ -107,6 +104,28 @@ def _load_calibrated_bundle(path) -> dataio.Bundle:
             "run `rpmnet calibrate` and use the bundle it writes"
         )
     return bundle
+
+
+def _score_blocks(bundle, blocks):
+    """Yield (ScoredBatch, rows, dropped) for each (features, rows, dropped) block of a CSV."""
+    for features, rows, dropped in blocks:
+        yield osr.score(bundle.params, bundle.scaler.transform(features)), rows, dropped
+
+
+def _score_labelled(bundle, path, roles):
+    """Score a labelled CSV block by block, never holding its feature
+    matrix, and split its kept rows.  Returns each kept row's label,
+    score, argmax and ``make_split`` code, and the manifest's drop count
+    and partition sizes."""
+    blocks = dataio.iter_labelled_blocks(path, bundle.feature_names, bundle.label_column)
+    next(blocks)  # the feature names, which are the bundle's
+    scored, labels, dropped = zip(*_score_blocks(bundle, blocks))
+    labels = [label for block in labels for label in block]
+    part = dataio.make_split(labels, roles, seed=bundle.config.seed)
+    sizes = np.bincount(part, minlength=4).tolist()
+    extra = {"dropped_rows": sum(dropped), "partition_rows": dict(zip(PARTITIONS, sizes))}
+    scores = np.concatenate([s.scores for s in scored])
+    return labels, scores, np.concatenate([s.predicted for s in scored]), part, extra
 
 
 # ---------------------------------------------------------------------------
@@ -118,17 +137,17 @@ def cmd_train(args) -> int:
     _refuse_in_place(args, "out", ("data", "roles", "config"), ("", ".history.txt", ".manifest.json"))
     config = _load_train_config(args.config, args.seed)
     roles = dataio.load_roles(args.roles)
-    split, dropped = _load_split(args.data, roles, roles.feature_names, roles.label_column, config.seed)
-    scaler = dataio.fit_scaler(split.known_train.features)
-    class_names = tuple(sorted(roles.known))
-    params, history = train(
-        scaler.transform(split.known_train.features), split.known_train.labels, config, class_names
-    )
+    dataset, dropped = dataio.load_csv(args.data, roles.feature_names, roles.label_column)
+    keep = np.flatnonzero(dataio.make_split(dataset.labels, roles, seed=config.seed) == 0)
+    features, labels, feature_names = dataset.features[keep], [dataset.labels[i] for i in keep], dataset.feature_names
+    del dataset  # only the known-train rows reach training
+    scaler = dataio.fit_scaler(features)
+    params, history = train(scaler.transform(features), labels, config, tuple(sorted(roles.known)))
     bundle = dataio.Bundle(
         params=params,
         scaler=scaler,
         config=config,
-        feature_names=split.known_train.feature_names,
+        feature_names=feature_names,
         label_column=roles.label_column,
         threshold=None,
     )
@@ -143,10 +162,10 @@ def cmd_train(args) -> int:
         {"data": args.data, "roles": args.roles},
         {"bundle": args.out, "history": history_path},
         started,
-        extra={"dropped_rows": dropped, "train_samples": len(split.known_train)},
+        extra={"dropped_rows": dropped, "train_samples": len(labels)},
     )
     final = history[-1].accuracy if history else float("nan")
-    print(f"trained {len(split.known_train)} samples, {config.epochs} epochs, final train acc {final:.4f}")
+    print(f"trained {len(labels)} samples, {config.epochs} epochs, final train acc {final:.4f}")
     print(f"bundle written to {args.out}")
     return 0
 
@@ -156,14 +175,12 @@ def cmd_calibrate(args) -> int:
     _refuse_in_place(args, "out", ("bundle", "data", "roles"))
     bundle = dataio.load_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
-    split, _ = _load_split(args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed)
-    if len(split.val_unknown) == 0:
+    _, scores, _, part, extra = _score_labelled(bundle, args.data, roles)
+    if not (part == 2).any():
         raise CliError(
             f"no validation-unknown samples in {args.data}; check the validation_unknown classes in {args.roles}"
         )
-    known_scores = osr.score(bundle.params, bundle.scaler.transform(split.known_train.features)).scores
-    unknown_scores = osr.score(bundle.params, bundle.scaler.transform(split.val_unknown.features)).scores
-    threshold = osr.calibrate(known_scores, unknown_scores)
+    threshold = osr.calibrate(scores[part == 0], scores[part == 2])
     superseded = bundle.threshold.tau if bundle.threshold is not None else None
     dataio.save_bundle(args.out, replace(bundle, threshold=threshold))
     _write_manifest(
@@ -173,7 +190,7 @@ def cmd_calibrate(args) -> int:
         {"bundle": args.bundle, "data": args.data, "roles": args.roles},
         {"bundle": args.out},
         started,
-        extra={"tau": threshold.tau, "superseded_tau": superseded},
+        extra={"tau": threshold.tau, "superseded_tau": superseded, **extra},
     )
     print(f"tau = {threshold.tau!r} (validation unknown-F1 {threshold.calibration_stats['f1']:.4f})")
     print(f"calibrated bundle written to {args.out}")
@@ -185,15 +202,11 @@ def cmd_eval(args) -> int:
     _refuse_in_place(args, "report", ("bundle", "data", "roles"))
     bundle = _load_calibrated_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
-    split, _ = _load_split(args.data, roles, bundle.feature_names, bundle.label_column, bundle.config.seed)
-    y = dataio.encode_labels(split.known_test.labels, bundle.params.class_names)
-    unknown = bundle.scaler.transform(split.test_unknown.features) if len(split.test_unknown) else None
+    labels, scores, predicted, part, extra = _score_labelled(bundle, args.data, roles)
+    known = part == 1
+    y = dataio.encode_labels([labels[i] for i in np.flatnonzero(known)], bundle.params.class_names)
     report = mx.evaluate(
-        bundle.params,
-        bundle.threshold,
-        bundle.scaler.transform(split.known_test.features),
-        y,
-        unknown,
+        bundle.params.class_names, bundle.threshold, scores[known], predicted[known], y, scores[part == 3]
     )
     doc = report.to_dict()
     with open(args.report, "w", encoding="utf-8") as fh:
@@ -206,6 +219,7 @@ def cmd_eval(args) -> int:
         {"bundle": args.bundle, "data": args.data, "roles": args.roles},
         {"report": args.report},
         started,
+        extra=extra,
     )
     for key in HEADLINE_KEYS:
         value = doc[key]
@@ -273,9 +287,9 @@ def cmd_score(args) -> int:
         with _atomic_output(args.out) as fh:
             writer = csv.writer(fh)
             writer.writerow(header + ["predicted_label", "score", "is_unknown"])
-            for features, rows, n_dropped in dataio.iter_feature_blocks(records, positions, len(header)):
-                scored = osr.detect(osr.score(bundle.params, bundle.scaler.transform(features)), bundle.threshold)
-                _write_scored_rows(fh, writer, rows, scored, class_names, class_cells)
+            blocks = dataio.iter_feature_blocks(records, positions, len(header))
+            for scored, rows, n_dropped in _score_blocks(bundle, blocks):
+                _write_scored_rows(fh, writer, rows, osr.detect(scored, bundle.threshold), class_names, class_cells)
                 rows_scored += len(rows)
                 dropped += n_dropped
     if dropped:

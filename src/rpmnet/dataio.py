@@ -44,11 +44,11 @@ __all__ = [
     "FlowDataset",
     "Scaler",
     "ClassRoles",
-    "OpenSetSplit",
     "BUNDLE_FORMAT",
     "BLOCK_ROWS",
     "iter_records",
     "iter_feature_blocks",
+    "iter_labelled_blocks",
     "read_csv_rows",
     "column_positions",
     "extract_features",
@@ -73,7 +73,7 @@ ROLES = (ROLE_KNOWN, ROLE_VALIDATION_UNKNOWN, ROLE_TEST_UNKNOWN)
 
 BUNDLE_FORMAT = "rpmnet-bundle/1"
 # non-blank CSV records per block: what ``iter_feature_blocks`` parses at a
-# time for ``load_csv`` and ``rpmnet score``
+# time for ``load_csv`` and every ``rpmnet`` command that reads a CSV
 BLOCK_ROWS = 1024
 _MAGIC = b"RPMB"
 
@@ -112,14 +112,6 @@ class FlowDataset:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def take(self, indices) -> "FlowDataset":
-        idx = np.asarray(indices, dtype=np.int64)
-        return FlowDataset(
-            features=self.features[idx],
-            labels=tuple(self.labels[i] for i in idx),
-            feature_names=self.feature_names,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -345,33 +337,41 @@ def extract_features(header, rows, feature_names):
     return features[finite], kept_idx, len(rows) - len(kept_idx)
 
 
-def load_csv(path, feature_names=None, label_column: str = "label"):
-    """Load a labelled flow CSV.
-
-    ``feature_names`` defaults to every non-label column.  Returns
-    (FlowDataset, dropped_row_count).  The file is read one block of
-    ``BLOCK_ROWS`` records at a time, so its raw text is never held
-    whole; only the parsed features and the labels of kept rows are.
-    """
+def iter_labelled_blocks(path, feature_names=None, label_column: str = "label"):
+    """Yield the feature names of a labelled flow CSV (every non-label
+    column by default), then (features, kept rows' labels, dropped count)
+    per block of ``BLOCK_ROWS`` records.  At the end, drops are logged as
+    one warning; a file with no usable record is an EmptyDatasetError."""
     with contextlib.closing(iter_records(path)) as records:
         header = next(records)
         if feature_names is None:
             feature_names = [h for h in header if h != label_column]
-        feature_names = list(feature_names)
-        *positions, label_pos = column_positions(header, feature_names + [label_column])
+        feature_names = tuple(feature_names)
+        *positions, label_pos = column_positions(header, [*feature_names, label_column])
         width = len(header)
-        blocks, labels, vocabulary, dropped = [], [], {}, 0
+        yield feature_names
+        vocabulary, dropped = {}, 0  # label -> the one str its rows share
         for features, kept, n_dropped in iter_feature_blocks(records, positions, width):
-            blocks.append(features)
-            # rows of one class share one str object
-            labels += [vocabulary.setdefault(c, c) for c in (_cell(r, label_pos, width) for r in kept)]
             dropped += n_dropped
+            labels = [vocabulary.setdefault(c, c) for c in (_cell(r, label_pos, width) for r in kept)]
+            yield features, labels, n_dropped
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", path, dropped)
-    if len(labels) == 0:
+    if not vocabulary:  # no row was kept
         raise EmptyDatasetError(f"{path}: no usable records")
-    features = np.concatenate(blocks)
-    return FlowDataset(features=features, labels=tuple(labels), feature_names=tuple(feature_names)), dropped
+
+
+def load_csv(path, feature_names=None, label_column: str = "label"):
+    """Load a labelled flow CSV, the blocks of :func:`iter_labelled_blocks`
+    concatenated; returns (FlowDataset, dropped_row_count)."""
+    blocks = iter_labelled_blocks(path, feature_names, label_column)
+    feature_names = next(blocks)
+    features, labels, dropped = [], [], 0
+    for block, block_labels, n_dropped in blocks:
+        features.append(block)
+        labels += block_labels
+        dropped += n_dropped
+    return FlowDataset(np.concatenate(features), tuple(labels), feature_names), dropped
 
 
 def save_csv(path, dataset: FlowDataset, label_column: str = "label") -> None:
@@ -523,28 +523,19 @@ def preset_roles_path(name: str):
     return path
 
 
-@dataclass(frozen=True)
-class OpenSetSplit:
-    """The four disjoint partitions of an open-set experiment."""
-
-    known_train: FlowDataset
-    known_test: FlowDataset
-    val_unknown: FlowDataset
-    test_unknown: FlowDataset
-
-
-def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed: int = 0) -> OpenSetSplit:
-    """Stratified open-set split.
+def make_split(labels, roles: ClassRoles, ratio: float = 0.8, seed: int = 0) -> np.ndarray:
+    """Stratified open-set split of rows with ``labels``; returns each
+    row's partition as int8 codes: 0 known-train, 1 known-test,
+    2 validation-unknown, 3 test-unknown.
 
     Known-role classes are split ``ratio``:(1-ratio) into train/test per
     class (seeded shuffle, both sides non-empty); unknown-role classes
-    go wholly to their partition.  Row order inside each partition
-    follows the input file order, so downstream behaviour is
-    deterministic.
+    go wholly to their partition.  Selecting a partition's rows keeps
+    their file order, so downstream behaviour is deterministic.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    names = sorted(set(dataset.labels))
+    names = sorted(set(labels))
     role_of = [roles.role_of(name) for name in names]
     unassigned = [name for name, role in zip(names, role_of) if role is None]
     if unassigned:
@@ -554,8 +545,7 @@ def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed
         )
 
     rng = np.random.default_rng(seed)
-    codes = encode_labels(dataset.labels, names)
-    # each row's partition: 0 known-train, 1 known-test, 2 val-unknown, 3 test-unknown
+    codes = encode_labels(labels, names)
     part = np.empty(len(codes), dtype=np.int8)
     for k, (name, role) in enumerate(zip(names, role_of)):
         idx = np.flatnonzero(codes == k)
@@ -571,8 +561,7 @@ def make_split(dataset: FlowDataset, roles: ClassRoles, ratio: float = 0.8, seed
             n_train = min(max(n_train, 1), idx.size - 1)
             part[perm[:n_train]] = 0
             part[perm[n_train:]] = 1
-
-    return OpenSetSplit(*(dataset.take(np.flatnonzero(part == p)) for p in range(4)))
+    return part
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model as mdl
 from . import openset as osr
 
 __all__ = ["REJECTED", "MacroMetrics", "EvalReport", "macro_prf", "auroc", "aupr", "evaluate"]
@@ -178,36 +177,31 @@ def aupr(scores, is_positive, higher_means_positive: bool = True) -> float:
     return float(np.add.accumulate(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
-def evaluate(
-    params: mdl.ModelParams,
-    threshold: osr.Threshold,
-    known_features: np.ndarray,
-    known_labels,
-    unknown_features: np.ndarray | None,
-) -> EvalReport:
-    """Full open-set evaluation of a trained, calibrated model.
+def evaluate(class_names, threshold: osr.Threshold, known_scores, known_predicted, known_labels,
+             unknown_scores) -> EvalReport:
+    """Full open-set evaluation from the scores and argmax predictions
+    of :func:`openset.score` on known test samples, their true class
+    indices, and the scores of unknown test samples.
 
     Known test samples rejected as unknown count as misclassifications
     of their true class (their prediction lands in the REJECTED bucket,
     outside the K classes).  The confusion matrix records raw argmax
-    predictions so its rows always sum to the class supports.
+    predictions so its rows always sum to the class supports.  Ranking
+    metrics are None when there are no unknown scores.
     """
-    class_names = params.class_names
     k = len(class_names)
     y = np.asarray(known_labels, dtype=np.int64)
-
-    kb = osr.detect(osr.score(params, known_features), threshold)
-    preds = np.where(kb.is_unknown, REJECTED, kb.predicted)
+    known = osr.detect(osr.ScoredBatch(np.asarray(known_scores), np.asarray(known_predicted)), threshold)
+    preds = np.where(known.is_unknown, REJECTED, known.predicted)
     per_class_prf, macro = macro_prf(preds, y, k)
 
     confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (y, kb.predicted), 1)
+    np.add.at(confusion, (y, known.predicted), 1)
 
-    have_unknown = unknown_features is not None and len(unknown_features) > 0
-    if have_unknown:
-        ub = osr.score(params, unknown_features)
-        all_scores = np.concatenate([kb.scores, ub.scores])
-        known_flag = np.concatenate([np.ones(len(kb), dtype=bool), np.zeros(len(ub), dtype=bool)])
+    unknown = np.asarray(unknown_scores, dtype=np.float64)
+    if unknown.size:
+        all_scores = np.concatenate([known.scores, unknown])
+        known_flag = np.concatenate([np.ones(len(known), dtype=bool), np.zeros(unknown.size, dtype=bool)])
         roc = auroc(all_scores, known_flag, higher_means_known=True)
         pr_in = aupr(all_scores, known_flag, higher_means_positive=True)
         pr_out = aupr(all_scores, ~known_flag, higher_means_positive=False)
@@ -226,8 +220,8 @@ def evaluate(
     }
     counts = {
         "known_test": int(y.size),
-        "unknown_test": int(len(unknown_features)) if unknown_features is not None else 0,
-        "rejected_known": int(np.sum(kb.is_unknown)),
+        "unknown_test": int(unknown.size),
+        "rejected_known": int(np.sum(known.is_unknown)),
     }
     return EvalReport(
         class_names=class_names,

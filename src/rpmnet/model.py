@@ -32,6 +32,8 @@ from .config import TrainConfig
 # are reachable early in training.
 NORM_GUARD = 1e-12
 
+INFER_ROWS = 256  # rows in every product of class_distances
+
 # Leaf order is the canonical parameter order used by the optimizer and
 # the bundle format.
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "points", "raw_margins")
@@ -243,9 +245,22 @@ def embed(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def class_distances(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Hybrid distance of each sample to every reciprocal point, (N, K)."""
-    z = forward_embed(params, _check_batch(params, x))
-    return forward_distances(z, params.reciprocal_points, params.embed_dim)[0]
+    """Hybrid distance of each sample to every reciprocal point, (N, K).
+
+    Every product has ``INFER_ROWS`` rows, the last chunk zero-padded: a
+    BLAS may round a short product differently from a long one, so a
+    row's bits never depend on the call it is scored in.
+    """
+    x = _check_batch(params, x)
+    out = np.empty((x.shape[0], params.num_classes))
+    for start in range(0, x.shape[0], INFER_ROWS):
+        rows = x[start : start + INFER_ROWS]
+        chunk = np.zeros((INFER_ROWS, x.shape[1]))
+        chunk[: len(rows)] = rows
+        z = forward_embed(params, chunk)
+        dist = forward_distances(z, params.reciprocal_points, params.embed_dim)[0]
+        out[start : start + len(rows)] = dist[: len(rows)]
+    return out
 
 
 def logits(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -182,24 +182,26 @@ def test_criterion_5_synthetic_end_to_end():
     started = time.monotonic()
     known, unknown = open_set_fixture(seed=42)
     roles = dio.ClassRoles(known=tuple(sorted(set(known.labels))))
-    split = dio.make_split(known, roles, ratio=0.8, seed=42)
-    scaler = dio.fit_scaler(split.known_train.features)
+    part = dio.make_split(known.labels, roles, ratio=0.8, seed=42)
+    labels = np.array(known.labels)
+    train_x = known.features[part == 0]
+    scaler = dio.fit_scaler(train_x)
     config = TrainConfig(seed=42)  # all defaults
-    params, history = train(
-        scaler.transform(split.known_train.features), split.known_train.labels, config
-    )
+    params, history = train(scaler.transform(train_x), labels[part == 0].tolist(), config)
     # half the unknown cluster calibrates tau, the other half is evaluated
-    known_scores = osr.score(params, scaler.transform(split.known_train.features)).scores
+    known_scores = osr.score(params, scaler.transform(train_x)).scores
     cal_scores = osr.score(params, scaler.transform(unknown[:200])).scores
     threshold = osr.calibrate(known_scores, cal_scores)
 
-    y = np.array([params.class_names.index(l) for l in split.known_test.labels])
+    y = np.array([params.class_names.index(l) for l in labels[part == 1]])
+    known_test = osr.score(params, scaler.transform(known.features[part == 1]))
     result = mx.evaluate(
-        params,
+        params.class_names,
         threshold,
-        scaler.transform(split.known_test.features),
+        known_test.scores,
+        known_test.predicted,
         y,
-        scaler.transform(unknown[200:]),
+        osr.score(params, scaler.transform(unknown[200:])).scores,
     )
     elapsed = time.monotonic() - started
     assert result.macro.f1 >= 0.95, f"macro F1 {result.macro.f1:.4f}"

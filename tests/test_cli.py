@@ -380,22 +380,28 @@ def test_score_failure_leaves_no_partial_output(workspace, monkeypatch, capsys):
     assert set(workspace["dir"].iterdir()) == listing | {out}
 
 
-def test_score_blocks_match_whole_file(workspace, monkeypatch, caplog):
-    """Blocks of 7 rows, with dirty rows spread over several blocks and one
-    block in which every row drops, give the whole-file run's rows, labels
-    and counts; scores agree to 1e-12 (small matmuls may round differently)."""
-    run_train(workspace)
-    run_calibrate(workspace)
-    header, *lines = (workspace["dir"] / "flows.csv").read_text().splitlines()
+def _dirty_copy(ws):
+    """The fixture CSV with 10 rows that drop, spread over several blocks
+    of 7 rows, one such block dropping whole, and one blank line."""
+    header, *lines = (ws["dir"] / "flows.csv").read_text().splitlines()
     lines[3] = "nan," + lines[3].split(",", 1)[1]  # NaN, block 0
     lines[40] = "," + lines[40].split(",", 1)[1]  # empty cell, block 5
     lines[100] = lines[100].rsplit(",", 1)[0]  # ragged row, block 14
     for i in range(140, 147):  # all of block 20 drops
         lines[i] = "inf," + lines[i].split(",", 1)[1]
     lines.insert(200, "")  # a blank line is skipped, not dropped
-    dirty = workspace["dir"] / "dirty.csv"
+    dirty = ws["dir"] / "dirty.csv"
     dirty.write_text("\n".join([header, *lines]) + "\n")
+    return dirty
 
+
+def test_score_blocks_match_whole_file(workspace, monkeypatch, caplog):
+    """Blocks of 7 rows, with dirty rows spread over several blocks and one
+    block in which every row drops, give the whole-file run's rows, labels,
+    counts and score bits."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    dirty = _dirty_copy(workspace)
     whole, blocked = workspace["dir"] / "whole.csv", workspace["dir"] / "blocked.csv"
     assert _score(workspace, dirty, whole) == 0
     monkeypatch.setattr(dio, "BLOCK_ROWS", 7)
@@ -407,11 +413,74 @@ def test_score_blocks_match_whole_file(workspace, monkeypatch, caplog):
     (wh, w_rows), (bh, b_rows) = dio.read_csv_rows(whole), dio.read_csv_rows(blocked)
     assert wh == bh and len(w_rows) == len(b_rows) == 270
     assert [r[:5] for r in b_rows] == [r[:5] for r in w_rows]
-    assert [(r[5], r[7]) for r in b_rows] == [(r[5], r[7]) for r in w_rows]
-    np.testing.assert_allclose([float(r[6]) for r in b_rows], [float(r[6]) for r in w_rows], rtol=1e-12, atol=0)
+    assert [(r[5], r[6], r[7]) for r in b_rows] == [(r[5], r[6], r[7]) for r in w_rows]
     for path in (whole, blocked):
         manifest = json.loads((workspace["dir"] / f"{path.name}.manifest.json").read_text())
         assert (manifest["rows_scored"], manifest["dropped_rows"]) == (270, 10)
+
+
+def test_calibrate_and_eval_blocks_match_whole_file(workspace, monkeypatch, caplog):
+    """calibrate and eval write the same bundle and report with blocks of
+    7 rows as with the default blocks; each logs its drops once and
+    records them, and the size of each partition, in its manifest."""
+    run_train(workspace)
+    dirty = _dirty_copy(workspace)
+    roles = json.loads((workspace["dir"] / "roles.json").read_text())
+    kept = dio.load_csv(dirty)[0].labels
+    want_parts = dict(zip(cli.PARTITIONS, np.bincount(dio.make_split(kept, dio.load_roles(workspace["roles"]),
+                                                                      seed=5), minlength=4).tolist()))
+    assert want_parts["validation_unknown"] == kept.count(*roles["validation_unknown"])
+    assert want_parts["test_unknown"] == kept.count(*roles["test_unknown"])
+    assert sum(want_parts.values()) == len(kept) == 270
+    outputs = []
+    for block_rows in (dio.BLOCK_ROWS, 7):
+        monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+        cal, report = workspace["dir"] / f"cal{block_rows}.bundle", workspace["dir"] / f"report{block_rows}.json"
+        caplog.clear()
+        assert main(["calibrate", "--bundle", workspace["bundle"], "--data", str(dirty),
+                     "--roles", workspace["roles"], "--out", str(cal)]) == 0
+        assert main(["eval", "--bundle", str(cal), "--data", str(dirty),
+                     "--roles", workspace["roles"], "--report", str(report)]) == 0
+        assert [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()] == [
+            f"{dirty}: dropped 10 rows with missing or non-finite features"
+        ] * 2
+        for path in (cal, report):
+            manifest = json.loads(path.with_name(path.name + ".manifest.json").read_text())
+            assert (manifest["dropped_rows"], manifest["partition_rows"]) == (10, want_parts)
+        outputs.append((cal.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_calibrate_and_eval_memory_stays_below_the_matrix(tmp_path):
+    """calibrate and eval keep a label, a score and an argmax per row, not
+    the feature matrix: on a 64-block, 40-feature file each one's traced
+    peak stays below half of the file's float64 matrix."""
+    rng = np.random.default_rng(0)
+    names = ["dos", "scan", "bruteforce", "nov_val", "nov_test"]
+    n, d = 64 * dio.BLOCK_ROWS, 40
+    y = np.arange(n) % len(names)
+    x = rng.normal(scale=3.0, size=(len(names), d))[y] + rng.normal(size=(n, d))
+    lines = [",".join([*(f"f{j}" for j in range(d)), "label"])]
+    lines += [",".join(f"{v:.3f}" for v in row) + f",{names[k]}" for row, k in zip(x.tolist(), y.tolist())]
+    data, small = tmp_path / "wide.csv", tmp_path / "small.csv"
+    data.write_text("\n".join(lines) + "\n")
+    small.write_text("\n".join(lines[:501]) + "\n")
+    roles, config = tmp_path / "roles.json", tmp_path / "train.json"
+    roles.write_text(json.dumps({"known": names[:3], "validation_unknown": ["nov_val"], "test_unknown": ["nov_test"]}))
+    config.write_text(json.dumps({"epochs": 10, "hidden_dims": [32, 16], "embed_dim": 8}))
+    bundle, cal = tmp_path / "model.bundle", tmp_path / "model.cal.bundle"
+    assert main(["train", "--data", str(small), "--roles", str(roles), "--config", str(config),
+                 "--out", str(bundle)]) == 0
+    commands = (["calibrate", "--bundle", str(bundle), "--out", str(cal)],
+                ["eval", "--bundle", str(cal), "--report", str(tmp_path / "report.json")])
+    for argv in commands:
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--data", str(data), "--roles", str(roles)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * d * 8, (argv[0], peak / (n * d * 8))
 
 
 def test_score_memory_does_not_grow_with_file(workspace, tmp_path):
@@ -665,3 +734,39 @@ def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
             "--out", workspace["bundle"]]
     assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 1
     assert "config must be a JSON object, not list" in capsys.readouterr().err
+
+
+UNSW_NB15_HEADER = (
+    "id,dur,proto,service,state,spkts,dpkts,sbytes,dbytes,rate,sttl,dttl,sload,dload,sloss,dloss,sinpkt,dinpkt,"
+    "sjit,djit,swin,stcpb,dtcpb,dwin,tcprtt,synack,ackdat,smean,dmean,trans_depth,response_body_len,ct_srv_src,"
+    "ct_state_ttl,ct_dst_ltm,ct_src_dport_ltm,ct_dst_sport_ltm,ct_dst_src_ltm,is_ftp_login,ct_ftp_cmd,"
+    "ct_flw_http_mthd,ct_src_ltm,ct_srv_dst,is_sm_ips_ports,attack_cat,label"
+)
+
+
+def test_unsw_nb15_preset_reads_the_published_columns(tmp_path):
+    """A file with the published UNSW-NB15 training/testing header and
+    text cells in proto, service and state runs through train, calibrate
+    and eval with the unedited preset; neither the row id nor the binary
+    attack flag is a feature."""
+    classes = ["Normal", "Analysis", "Backdoor", "DoS", "Generic", "Worms", "Fuzzers", "Exploits"]
+    text = [("tcp", "-", "FIN"), ("udp", "dns", "INT"), ("tcp", "http", "CON"), ("arp", "-", "INT")]
+    lines = [UNSW_NB15_HEADER]
+    for i in range(64):
+        k = i % len(classes)
+        proto, service, state = text[i % len(text)]
+        numbers = ",".join(str((3 * k + j + i % 5) % 11) for j in range(38))
+        lines.append(f"{i + 1},0.{i:06d},{proto},{service},{state},{numbers},{classes[k]},{int(k > 0)}")
+    data = tmp_path / "unsw_nb15.csv"
+    data.write_text("\n".join(lines) + "\n")
+    roles = str(dio.preset_roles_path("unsw_nb15"))
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 2, "hidden_dims": [8, 8], "embed_dim": 4}))
+    bundle, cal = tmp_path / "model.bundle", tmp_path / "model.cal.bundle"
+    assert main(["train", "--data", str(data), "--roles", roles, "--config", str(config), "--out", str(bundle)]) == 0
+    names = dio.load_bundle(bundle).feature_names
+    assert len(names) == 39 and not {"id", "label", "attack_cat", "proto", "service", "state"} & set(names)
+    assert names == tuple(h for h in UNSW_NB15_HEADER.split(",") if h in names)
+    assert main(["calibrate", "--bundle", str(bundle), "--data", str(data), "--roles", roles, "--out", str(cal)]) == 0
+    assert main(["eval", "--bundle", str(cal), "--data", str(data), "--roles", roles,
+                 "--report", str(tmp_path / "report.json")]) == 0

@@ -457,52 +457,46 @@ def roles_abc():
     return dio.ClassRoles(known=("a", "b"), validation_unknown=("v",), test_unknown=("u",))
 
 
-def dataset_with(labels, rng):
-    labels = tuple(labels)
-    return dio.FlowDataset(
-        features=np.column_stack([np.arange(len(labels), dtype=np.float64), rng.normal(size=len(labels))]),
-        labels=labels,
-        feature_names=("row_id", "noise"),
-    )
+def partition_labels(labels, part, code):
+    """Labels of the rows in partition ``code``, in row order."""
+    return [label for label, p in zip(labels, part.tolist()) if p == code]
 
 
-def test_split_eight_to_two(rng):
-    ds = dataset_with(["a"] * 10 + ["b"] * 10 + ["v"] * 3 + ["u"] * 4, rng)
-    split = dio.make_split(ds, roles_abc(), ratio=0.8, seed=0)
-    counts = Counter(split.known_train.labels)
+def test_split_eight_to_two():
+    labels = ["a"] * 10 + ["b"] * 10 + ["v"] * 3 + ["u"] * 4
+    part = dio.make_split(labels, roles_abc(), ratio=0.8, seed=0)
+    assert part.dtype == np.int8 and part.shape == (len(labels),)
+    counts = Counter(partition_labels(labels, part, 0))
     assert counts == {"a": 8, "b": 8}
-    assert Counter(split.known_test.labels) == {"a": 2, "b": 2}
-    assert len(split.val_unknown) == 3
-    assert len(split.test_unknown) == 4
+    assert Counter(partition_labels(labels, part, 1)) == {"a": 2, "b": 2}
+    assert np.sum(part == 2) == 3
+    assert np.sum(part == 3) == 4
 
 
-def test_split_deterministic(rng):
-    ds = dataset_with(["a"] * 25 + ["b"] * 13 + ["v"] * 5 + ["u"] * 5, rng)
-    s1 = dio.make_split(ds, roles_abc(), seed=11)
-    s2 = dio.make_split(ds, roles_abc(), seed=11)
-    assert np.array_equal(s1.known_train.features, s2.known_train.features)
-    assert np.array_equal(s1.known_test.features, s2.known_test.features)
+def test_split_deterministic():
+    labels = ["a"] * 25 + ["b"] * 13 + ["v"] * 5 + ["u"] * 5
+    s1 = dio.make_split(labels, roles_abc(), seed=11)
+    s2 = dio.make_split(labels, roles_abc(), seed=11)
+    assert np.array_equal(np.flatnonzero(s1 == 0), np.flatnonzero(s2 == 0))
+    assert np.array_equal(np.flatnonzero(s1 == 1), np.flatnonzero(s2 == 1))
 
 
-def test_split_partitions_are_disjoint_and_complete(rng):
-    ds = dataset_with(["a"] * 17 + ["b"] * 9 + ["v"] * 4 + ["u"] * 6, rng)
-    split = dio.make_split(ds, roles_abc(), seed=3)
-    ids = np.concatenate(
-        [part.features[:, 0] for part in (split.known_train, split.known_test, split.val_unknown, split.test_unknown)]
-    )
-    assert len(ids) == len(ds)
-    assert len(np.unique(ids)) == len(ds)
+def test_split_partitions_are_disjoint_and_complete():
+    labels = ["a"] * 17 + ["b"] * 9 + ["v"] * 4 + ["u"] * 6
+    part = dio.make_split(labels, roles_abc(), seed=3)
+    ids = np.concatenate([np.flatnonzero(part == code) for code in range(4)])
+    assert len(ids) == len(labels)
+    assert len(np.unique(ids)) == len(labels)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 60), st.integers(2, 60))
 def test_split_proportions_within_one_sample(na, nb):
-    rng = np.random.default_rng(0)
-    ds = dataset_with(["a"] * na + ["b"] * nb, rng)
+    labels = ["a"] * na + ["b"] * nb
     roles = dio.ClassRoles(known=("a", "b"))
-    split = dio.make_split(ds, roles, ratio=0.8, seed=1)
+    part = dio.make_split(labels, roles, ratio=0.8, seed=1)
     for name, n in (("a", na), ("b", nb)):
-        got = Counter(split.known_train.labels).get(name, 0)
+        got = Counter(partition_labels(labels, part, 0)).get(name, 0)
         assert abs(got - 0.8 * n) <= 1.0
         assert 1 <= got <= n - 1
 
@@ -553,46 +547,36 @@ def test_split_matches_oracle(labels, listed, default, ratio, seed):
         test_unknown=by_role[dio.ROLE_TEST_UNKNOWN],
         default=default,
     )
-    ds = dataset_with(labels, np.random.default_rng(0))
     try:
         want = split_oracle(labels, roles, ratio, seed)
     except ValueError as e:  # RolesError included
         with pytest.raises(ValueError) as raised:
-            dio.make_split(ds, roles, ratio=ratio, seed=seed)
+            dio.make_split(labels, roles, ratio=ratio, seed=seed)
         assert type(raised.value) is type(e)
         return
-    split = dio.make_split(ds, roles, ratio=ratio, seed=seed)
-    got = {
-        key: part.features[:, 0].astype(int).tolist()
-        for key, part in (
-            ("train", split.known_train),
-            ("test", split.known_test),
-            (dio.ROLE_VALIDATION_UNKNOWN, split.val_unknown),
-            (dio.ROLE_TEST_UNKNOWN, split.test_unknown),
-        )
-    }
+    part = dio.make_split(labels, roles, ratio=ratio, seed=seed)
+    keys = ("train", "test", dio.ROLE_VALIDATION_UNKNOWN, dio.ROLE_TEST_UNKNOWN)
+    got = {key: np.flatnonzero(part == code).tolist() for code, key in enumerate(keys)}
     assert got == want
-    for part in (split.known_train, split.known_test, split.val_unknown, split.test_unknown):
-        assert part.labels == tuple(labels[i] for i in part.features[:, 0].astype(int))
+    for code in range(4):
+        assert partition_labels(labels, part, code) == [labels[i] for i in np.flatnonzero(part == code)]
 
 
-def test_split_unassigned_class_is_listed(rng):
-    ds = dataset_with(["a", "a", "mystery", "mystery"], rng)
+def test_split_unassigned_class_is_listed():
     with pytest.raises(dio.RolesError, match="mystery"):
-        dio.make_split(ds, dio.ClassRoles(known=("a",)), seed=0)
+        dio.make_split(["a", "a", "mystery", "mystery"], dio.ClassRoles(known=("a",)), seed=0)
 
 
-def test_split_wildcard_default_role(rng):
-    ds = dataset_with(["a", "a", "b", "b", "odd", "odd"], rng)
+def test_split_wildcard_default_role():
+    labels = ["a", "a", "b", "b", "odd", "odd"]
     roles = dio.ClassRoles(known=("a", "b"), default=dio.ROLE_TEST_UNKNOWN)
-    split = dio.make_split(ds, roles, seed=0)
-    assert Counter(split.test_unknown.labels) == {"odd": 2}
+    part = dio.make_split(labels, roles, seed=0)
+    assert Counter(partition_labels(labels, part, 3)) == {"odd": 2}
 
 
-def test_split_known_class_needs_two_samples(rng):
-    ds = dataset_with(["a", "b", "b"], rng)
+def test_split_known_class_needs_two_samples():
     with pytest.raises(ValueError, match="at least 2"):
-        dio.make_split(ds, dio.ClassRoles(known=("a", "b")), seed=0)
+        dio.make_split(["a", "b", "b"], dio.ClassRoles(known=("a", "b")), seed=0)
 
 
 def test_roles_overlap_rejected():

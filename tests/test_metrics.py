@@ -240,11 +240,30 @@ def trained_toy_model():
     return params, data
 
 
+def evaluate_model(params, threshold, known_x, y, unknown_x=None):
+    """``evaluate`` on the scores of a model's known and unknown rows."""
+    known = osr.score(params, known_x)
+    unknown = () if unknown_x is None else osr.score(params, unknown_x).scores
+    return mx.evaluate(params.class_names, threshold, known.scores, known.predicted, y, unknown)
+
+
+def test_evaluate_reads_scores_predictions_and_codes_only():
+    """A known row scoring below tau is rejected (no prediction), while its
+    argmax still fills the confusion matrix."""
+    thr = osr.Threshold(0.5, "manual", {})
+    report = mx.evaluate(("a", "b"), thr, [1.0, 0.2, 0.9, 0.7], [0, 1, 0, 0], [0, 1, 1, 0], [0.1, 0.8])
+    assert report.confusion.tolist() == [[2, 0], [1, 1]]
+    assert report.counts == {"known_test": 4, "unknown_test": 2, "rejected_known": 1}
+    assert report.per_class["a"] == {"precision": 2 / 3, "recall": 1.0, "f1": 0.8, "support": 2}
+    assert report.per_class["b"] == {"precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 2}
+    assert report.auroc == 0.75  # 6 of the 8 known/unknown pairs rank the known row higher
+
+
 def test_evaluate_without_unknowns_flags_ranking_metrics():
     params, data = trained_toy_model()
     thr = osr.Threshold(float(-1e9), "manual", {})
     y = np.array([params.class_names.index(l) for l in data.labels])
-    report = mx.evaluate(params, thr, data.features, y, None)
+    report = evaluate_model(params, thr, data.features, y)
     assert report.auroc is None and report.aupr_in is None and report.aupr_out is None
     assert report.macro.f1 == 1.0
     assert report.counts["unknown_test"] == 0
@@ -260,7 +279,7 @@ def test_evaluate_memorized_fixture_scores_perfectly():
     known_scores = osr.score(params, data.features).scores
     unknown_scores = osr.score(params, unknown).scores
     thr = osr.calibrate(known_scores, unknown_scores)
-    report = mx.evaluate(params, thr, data.features, y, unknown)
+    report = evaluate_model(params, thr, data.features, y, unknown)
     assert report.macro.precision == 1.0
     assert report.macro.recall == 1.0
     assert report.macro.f1 == 1.0
@@ -273,7 +292,7 @@ def test_evaluate_confusion_rows_sum_to_support():
     params, data = trained_toy_model()
     thr = osr.Threshold(float(1e9), "manual", {})  # reject everything
     y = np.array([params.class_names.index(l) for l in data.labels])
-    report = mx.evaluate(params, thr, data.features, y, None)
+    report = evaluate_model(params, thr, data.features, y)
     support = np.array([np.sum(y == i) for i in range(2)])
     assert np.array_equal(report.confusion.sum(axis=1), support)
     assert report.counts["rejected_known"] == len(y)

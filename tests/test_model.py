@@ -121,7 +121,20 @@ def test_batch_distances_match_pairwise_reference(rng):
             assert got[i, k] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [0, 1, 37])
+def graph_distances(p, x):
+    """The tape's distances for ``x``, run as ``class_distances`` runs
+    the network: on zero-padded chunks of ``INFER_ROWS`` rows."""
+    leaves, rows = mdl.as_leaves(p), mdl.INFER_ROWS
+    padded = np.zeros((-(-len(x) // rows) * rows, x.shape[1]))
+    padded[: len(x)] = x
+    chunks = [
+        mdl.distance_graph(leaves, mdl.embed_graph(leaves, ad.constant(padded[i : i + rows])), p.embed_dim).value
+        for i in range(0, len(padded), rows)
+    ]
+    return np.concatenate([np.empty((0, p.num_classes)), *chunks])[: len(x)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 37, 300])
 def test_inference_is_bit_identical_to_tape(n, rng):
     cfg = small_config()
     p = mdl.init_params(5, ["a", "b", "c"], cfg, rng)
@@ -132,12 +145,24 @@ def test_inference_is_bit_identical_to_tape(n, rng):
     if n:
         x[0] = -0.0  # every layer-1 pre-activation of this row is <= 0
 
-    leaves = mdl.as_leaves(p)
-    z = mdl.embed_graph(leaves, ad.constant(x))
-    dist = mdl.distance_graph(leaves, z, p.embed_dim)
+    z = mdl.embed_graph(mdl.as_leaves(p), ad.constant(x))
+    dist = graph_distances(p, x)
     got_z, got_dist = mdl.embed(p, x), mdl.class_distances(p, x)
     assert got_z.shape == z.value.shape and got_z.tobytes() == z.value.tobytes()
-    assert got_dist.shape == (n, 3) and got_dist.tobytes() == dist.value.tobytes()
+    assert got_dist.shape == (n, 3) and got_dist.tobytes() == dist.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 235, 240, 241, 255, 256, 257, 4097])
+def test_class_distances_do_not_depend_on_the_call(n):
+    """At the default dims, the rows of a call of any size get the bits
+    of the same rows inside one 5000-row call, wherever they start."""
+    rng = np.random.default_rng(n)
+    p = mdl.init_params(78, ["a", "b", "c", "d", "e"], TrainConfig(), rng)
+    x = rng.normal(size=(5000, 78))
+    whole = mdl.class_distances(p, x)
+    for start in (0, 7, 5000 - n):
+        got = mdl.class_distances(p, x[start : start + n])
+        assert got.shape == (n, 5) and got.tobytes() == whole[start : start + n].tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
