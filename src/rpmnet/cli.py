@@ -107,9 +107,10 @@ def _load_calibrated_bundle(path) -> dataio.Bundle:
 
 
 def _score_blocks(bundle, blocks):
-    """Yield (ScoredBatch, rows, dropped) for each (features, rows, dropped) block of a CSV."""
+    """Yield (ScoredBatch, rows, dropped) for each (features, rows, dropped)
+    block of a CSV; each block's features are scaled in place."""
     for features, rows, dropped in blocks:
-        yield osr.score(bundle.params, bundle.scaler.transform(features)), rows, dropped
+        yield osr.score(bundle.params, bundle.scaler.transform(features, out=features)), rows, dropped
 
 
 def _score_labelled(bundle, path, roles):
@@ -142,7 +143,7 @@ def cmd_train(args) -> int:
     features, labels, feature_names = dataset.features[keep], [dataset.labels[i] for i in keep], dataset.feature_names
     del dataset  # only the known-train rows reach training
     scaler = dataio.fit_scaler(features)
-    params, history = train(scaler.transform(features), labels, config, tuple(sorted(roles.known)))
+    params, history = train(scaler.transform(features, out=features), labels, config, tuple(sorted(roles.known)))
     bundle = dataio.Bundle(
         params=params,
         scaler=scaler,
@@ -241,7 +242,8 @@ def _class_cells(class_names) -> list:
 def _write_scored_rows(fh, writer, rows, scored, class_names, class_cells) -> None:
     """Write each kept row of a block with the three appended columns of
     its ``scored`` entry, with the bytes of ``writer.writerow``.  A row
-    is a list of cells or, for a record that numpy parsed, its line.
+    is a list of cells or, for a record that numpy parsed, its line as
+    read, written without its terminator.
     Such a line holds no cell that ``csv.writer`` would quote, nor does a
     score's ``repr`` or ``true``/``false``, so it is written joined, with
     the class name as ``class_cells`` holds it; ``writer`` writes every
@@ -251,7 +253,8 @@ def _write_scored_rows(fh, writer, rows, scored, class_names, class_cells) -> No
     ):
         flag = "true" if unknown else "false"
         if isinstance(row, str):
-            fh.write(f"{row},{class_cells[k]},{score!r},{flag}\r\n")
+            line = row.rstrip("\r\n")
+            fh.write(f"{line},{class_cells[k]},{score!r},{flag}\r\n")
         else:
             writer.writerow(row + [class_names[k], repr(score), flag])
 

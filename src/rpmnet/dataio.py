@@ -20,6 +20,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import csv
+import functools
 import itertools
 import json
 import logging
@@ -72,8 +73,9 @@ ROLE_TEST_UNKNOWN = "test_unknown"
 ROLES = (ROLE_KNOWN, ROLE_VALIDATION_UNKNOWN, ROLE_TEST_UNKNOWN)
 
 BUNDLE_FORMAT = "rpmnet-bundle/1"
-# non-blank CSV records per block: what ``iter_feature_blocks`` parses at a
-# time for ``load_csv`` and every ``rpmnet`` command that reads a CSV
+# physical lines per block, so at most as many records: what
+# ``iter_records`` checks and ``iter_feature_blocks`` parses at a time for
+# ``load_csv`` and every ``rpmnet`` command that reads a CSV
 BLOCK_ROWS = 1024
 _MAGIC = b"RPMB"
 
@@ -140,6 +142,22 @@ def _encoding_error(path) -> SchemaError:
     return SchemaError(f"{path}: not UTF-8; re-encode the file as UTF-8")
 
 
+def _first_error(path) -> SchemaError:
+    """The error :func:`read_csv_rows` raises on a file with a byte that
+    is not UTF-8: a line ``csv`` cannot parse before that byte, or else
+    the byte.  The block reader decodes a whole block before it checks
+    its lines, so it asks this once it meets such a byte."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            collections.deque(reader, maxlen=0)
+        except csv.Error as e:
+            return SchemaError(f"{path}: line {reader.line_num}: {e}")
+        except UnicodeDecodeError:
+            pass
+    return _encoding_error(path)
+
+
 def read_csv_rows(path):
     """Header (stripped) and every non-blank row of a CSV file
     (RFC-4180 style, UTF-8; a leading byte-order mark is skipped), each
@@ -160,65 +178,160 @@ def read_csv_rows(path):
             raise _encoding_error(path) from None
 
 
-def iter_records(path):
-    """Yield the stripped header of a CSV file, then each non-blank
-    record: the same header, rows and errors as :func:`read_csv_rows`,
-    without a ``str`` per cell where numpy can parse the line.
+# a little-endian word of eight 0/1 bytes, times _BYTES, holds their sum
+# in its top byte; _LOW[r] keeps a word's low r bytes
+_BYTES = np.uint64(0x0101010101010101)
+_LOW = np.array([(1 << 8 * r) - 1 for r in range(8)], dtype=np.uint64)
+# characters of a block checked at once, which bounds the copies of its
+# text the checks make
+_CHECK_CHARS = 1 << 16
 
-    A physical line with no ``"`` is a record on its own, which ``csv``
-    splits on commas and nowhere else.  Such a line is yielded as it is,
-    terminator removed, when it is also printable, no longer than
-    ``csv.field_size_limit()`` and holds one cell per header column,
-    none of them empty; :func:`_parse_block` hands these lines to numpy.
-    Any other record is yielded as the list of cells ``csv`` reads,
-    starting at its first line and taking in continuation lines of a
-    quoted cell.
+
+def _check_lines(lines, commas, limit):
+    """Check a block of physical lines, each with its terminator, with
+    numpy rather than line by line; returns (blank, flagged) boolean
+    arrays, one entry per line.
+
+    A line is flagged when ``csv`` might not split it on its commas
+    alone, or numpy might parse it differently from ``float()``: it
+    holds a ``"``, a number of commas other than ``commas``, an empty
+    cell (a leading, trailing or doubled comma), a character below
+    U+0020, U+007F or a non-ASCII character that is not printable, or it
+    is longer than ``limit``.  The lines are checked in runs of about
+    ``_CHECK_CHARS`` characters, so the copies of the text the checks
+    make stay small next to the block.
+    """
+    ends = np.cumsum(np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)))
+    cuts = [0, *np.searchsorted(ends, np.arange(_CHECK_CHARS, ends[-1], _CHECK_CHARS)).tolist(), len(lines)]
+    runs = [_check_run(lines[i:j], ends[i:j] - (ends[i - 1] if i else 0), commas, limit)
+            for i, j in zip(cuts, cuts[1:]) if i < j]
+    return np.concatenate([blank for blank, _ in runs]), np.concatenate([flagged for _, flagged in runs])
+
+
+def _check_run(lines, ends, commas, limit):
+    """:func:`_check_lines` on consecutive lines that end at character
+    offsets ``ends`` of their text.  The text is encoded with one byte
+    per character (``?`` for a non-ASCII one), so a byte offset is a
+    character offset, and a line holds a ``\\r`` or ``\\n`` only in its
+    terminator."""
+    text = "".join(lines)
+    ascii_only, quoted = text.isascii(), '"' in text
+    raw = text.encode("ascii", "replace")
+    del text
+    a = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.concatenate(([0], ends[:-1]))
+    last = a[ends - 1]
+    lf, cr = last == 10, last == 13
+    crlf = lf & (ends - starts > 1) & (a[ends - 2] == 13)
+    stops = ends - lf - cr - crlf  # where each terminator starts
+    blank = stops == starts
+    flagged = (stops - starts > limit) | (a[starts] == 44) | (a[stops - 1] == 44)
+
+    def flag(at):  # the lines holding the byte offsets ``at``, terminators excepted
+        line = np.searchsorted(ends, at, side="right")
+        flagged[line[at < stops[line]]] = True
+
+    # the terminators are bytes below 0x20; any more such bytes, or one
+    # from 0x7F on, lie inside a line (uint8 arithmetic wraps below 0x20)
+    odd = a - np.uint8(32)
+    np.greater(odd, 94, out=odd.view(bool))
+    if np.count_nonzero(odd) > len(lines) - np.count_nonzero(ends == stops) + np.count_nonzero(crlf):
+        flag(np.flatnonzero(odd))
+    if quoted:
+        flag(np.flatnonzero(a == 34))
+    doubled = odd.view(bool)[: len(a) // 2]  # odd's bytes, reused
+    for offset in (0, 1):  # ",," at an even, then at an odd offset
+        pairs = np.frombuffer(raw, dtype=np.uint16, count=(len(a) - offset) // 2, offset=offset)
+        np.equal(pairs, 0x2C2C, out=doubled[: len(pairs)])
+        if doubled[: len(pairs)].any():
+            flag(2 * np.flatnonzero(doubled[: len(pairs)]) + offset)
+    del odd, doubled, pairs
+    # commas per line from the comma count of each 8-byte word; the mask
+    # starts one zero word in, so after the cumulative sum words[k] counts
+    # the commas before word k of the run, and a line end's own word adds
+    # those of its bytes before the end
+    words = np.zeros(len(a) // 8 + 2, dtype="<u8")
+    np.equal(a, 44, out=words.view(bool)[8 : 8 + len(a)])
+    del a, raw
+    word, byte = np.divmod(np.concatenate((starts, stops)), 8)
+    before = ((words[word + 1] & _LOW[byte]) * _BYTES) >> np.uint64(56)
+    words *= _BYTES
+    words >>= np.uint64(56)
+    before += np.cumsum(words, out=words)[word]
+    flagged |= before[len(lines) :] - before[: len(lines)] != commas
+    if not ascii_only:
+        for k in np.flatnonzero(~flagged).tolist():
+            flagged[k] = not (lines[k].isascii() or lines[k].rstrip("\r\n").isprintable())
+    return blank, flagged & ~blank
+
+
+def iter_records(path):
+    """Yield the stripped header of a CSV file, then its non-blank
+    records in blocks of at most ``BLOCK_ROWS``: the same header, rows
+    and errors as :func:`read_csv_rows`, without a ``str`` per cell
+    where numpy can parse the line.
+
+    A block is a pair (records, exact).  It reads ``BLOCK_ROWS``
+    physical lines and checks them together with :func:`_check_lines`.
+    Each line that passes is a record on its own, which ``csv`` splits on
+    commas and nowhere else; it stays in the records list as read,
+    terminator included, for :func:`_parse_block` to hand to numpy.  A
+    flagged line starts a record that ``csv`` reads as its list of
+    cells, taking in the continuation lines of a quoted cell, also past
+    the block's last line; ``exact`` lists where such records sit.  A
+    block with no blank or flagged line is the list of lines as read.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        line_num = 0
+        line_num = 0  # physical lines before the current block
 
-        def cells(line):
-            nonlocal line_num
-            reader = csv.reader(itertools.chain((line,), fh))
+        def cells(lines, k):
+            """The record ``csv`` reads from ``lines[k]`` on, and how many
+            physical lines it took."""
+            reader = csv.reader(itertools.chain(itertools.islice(lines, k, None), fh))
             try:
                 row = next(reader)
             except csv.Error as e:
-                raise SchemaError(f"{path}: line {line_num + reader.line_num}: {e}") from None
-            line_num += reader.line_num
-            return row
+                raise SchemaError(f"{path}: line {line_num + k + reader.line_num}: {e}") from None
+            return row, reader.line_num
+
+        def next_block():
+            """The next block holding a record, or None at the end of the file."""
+            nonlocal line_num
+            while lines := list(itertools.islice(fh, BLOCK_ROWS)):
+                blank, flagged = _check_lines(lines, commas, limit)
+                if not (blank.any() or flagged.any()):
+                    line_num += len(lines)
+                    return lines, []
+                take, rows, after = ~blank, {}, 0
+                for k in np.flatnonzero(flagged).tolist():
+                    if k >= after:  # not a continuation line of the record before
+                        rows[k], used = cells(lines, k)
+                        after = k + used
+                        take[k + 1 : after] = False
+                line_num += max(len(lines), after)
+                order = np.flatnonzero(take).tolist()
+                if order:
+                    return [rows.get(k, lines[k]) for k in order], [j for j, k in enumerate(order) if k in rows]
+            return None
 
         try:
             first = next(fh, None)
             if first is None:
                 raise EmptyDatasetError(f"{path}: file has no header row")
-            header = [h.strip() for h in cells(first)]
+            header, line_num = cells([first], 0)
+            header = [h.strip() for h in header]
             yield header
             commas, limit = len(header) - 1, csv.field_size_limit()
-            for line in fh:
-                text = line.rstrip("\r\n")
-                if not text:
-                    line_num += 1
-                elif (
-                    '"' not in text
-                    and text.count(",") == commas
-                    and text[0] != ","
-                    and text[-1] != ","
-                    and ",," not in text
-                    and len(text) <= limit
-                    and text.isprintable()
-                ):
-                    line_num += 1
-                    yield text
-                else:
-                    yield cells(line)
+            # through a call, so no frame holds a block while the next is read
+            yield from iter(next_block, None)
         except UnicodeDecodeError:
-            raise _encoding_error(path) from None
+            raise _first_error(path) from None
 
 
-def _parse_block(records, positions, width):
-    """Parse one block of records from :func:`iter_records` the way
+def _parse_block(block, positions, width):
+    """Parse one block of :func:`iter_records` the way
     :func:`extract_features` parses rows; returns (features, kept
-    records, dropped count).
+    records, dropped count), a kept line as read, terminator included.
 
     All line records go through one ``np.loadtxt`` call, which parses a
     printable cell to the bits ``float()`` gives and accepts no printable
@@ -226,46 +339,49 @@ def _parse_block(records, positions, width):
     as ``1_000``; if it rejects one, every record of the block is parsed
     from its cells instead.
     """
+    records, exact = block
     n = len(records)
-    features = np.empty((n, len(positions)), dtype=np.float64)
-    parsed = np.zeros(n, dtype=bool)
-    lines = [i for i, r in enumerate(records) if isinstance(r, str)]
-    exact = [i for i, r in enumerate(records) if not isinstance(r, str)]
-    if lines:
-        try:
-            features[lines] = np.loadtxt(
-                [records[i] for i in lines], delimiter=",", usecols=positions, comments=None, ndmin=2
-            )
-            parsed[lines] = True
-        except ValueError:
-            exact = range(n)
-    rows = [records[i].split(",") if isinstance(records[i], str) else records[i] for i in exact]
-    values, parsed_rows = _parse_rows(rows, positions, width)
-    done = [exact[k] for k in parsed_rows]
-    features[done] = values
-    parsed[done] = True
+    parsed = np.ones(n, dtype=bool)
+    parsed[exact] = False
+    lines = [records[i] for i in np.flatnonzero(parsed).tolist()] if exact else records
+    try:
+        numbers = np.loadtxt(lines, delimiter=",", usecols=positions, comments=None, ndmin=2) if lines else None
+    except ValueError:
+        parsed[:], exact, numbers = False, range(n), None
+    if not exact:
+        features = numbers
+    else:
+        features = np.empty((n, len(positions)), dtype=np.float64)
+        if numbers is not None:
+            features[parsed] = numbers
+        rows = [records[i].rstrip("\r\n").split(",") if isinstance(records[i], str) else records[i] for i in exact]
+        values, parsed_rows = _parse_rows(rows, positions, width)
+        done = [exact[k] for k in parsed_rows]
+        features[done] = values
+        parsed[done] = True
     parsed &= np.isfinite(features).all(axis=1)
+    if parsed.all():
+        return features, records, 0
     kept = np.flatnonzero(parsed).tolist()
     return features[parsed], [records[i] for i in kept], n - len(kept)
 
 
-def iter_feature_blocks(records, positions, width):
-    """Parse the records of :func:`iter_records` after its header,
-    ``BLOCK_ROWS`` at a time, at the feature ``positions`` of a header of
-    ``width`` columns; yield (features, kept records, dropped count) for
-    each block, as :func:`_parse_block` gives them."""
-    for first in records:
-        yield _parse_block([first, *itertools.islice(records, BLOCK_ROWS - 1)], positions, width)
+def iter_feature_blocks(blocks, positions, width):
+    """Parse the blocks of :func:`iter_records` after its header at the
+    feature ``positions`` of a header of ``width`` columns: an iterator
+    of (features, kept records, dropped count) per block, as
+    :func:`_parse_block` gives them."""
+    return map(functools.partial(_parse_block, positions=positions, width=width), blocks)
 
 
-def _cell(record, pos, width):
-    """Cell ``pos`` of a record from :func:`iter_records`; a line is
-    split from its nearer end only."""
-    if not isinstance(record, str):
-        return record[pos]
+def _cells(records, pos, width):
+    """Cell ``pos`` of each record of a block from :func:`_parse_block`;
+    a line is split from its nearer end only."""
+    if pos == width - 1:  # a line's last cell ends in its terminator
+        return [r[r.rfind(",") + 1 :].rstrip("\r\n") if isinstance(r, str) else r[pos] for r in records]
     if 2 * pos < width:
-        return record.split(",", pos + 1)[pos]
-    return record.rsplit(",", width - pos)[1]
+        return [r.split(",", pos + 1)[pos] if isinstance(r, str) else r[pos] for r in records]
+    return [r.rsplit(",", width - pos)[1] if isinstance(r, str) else r[pos] for r in records]
 
 
 def column_positions(header, names) -> list:
@@ -353,25 +469,71 @@ def iter_labelled_blocks(path, feature_names=None, label_column: str = "label"):
         vocabulary, dropped = {}, 0  # label -> the one str its rows share
         for features, kept, n_dropped in iter_feature_blocks(records, positions, width):
             dropped += n_dropped
-            labels = [vocabulary.setdefault(c, c) for c in (_cell(r, label_pos, width) for r in kept)]
+            labels = [vocabulary.setdefault(c, c) for c in _cells(kept, label_pos, width)]
             yield features, labels, n_dropped
+            del features, kept  # not held while the next block is read
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", path, dropped)
     if not vocabulary:  # no row was kept
+        if dropped:
+            cause = _drop_cause(path, header, positions)
+            if cause:
+                log.warning("%s", cause)
         raise EmptyDatasetError(f"{path}: no usable records")
+
+
+def _drop_cause(path, header, positions):
+    """Why the first record of a CSV file drops, as ``<path>: line <n>:
+    <reason>``: its cell count differs from the header's, or a feature
+    cell at ``positions`` is not a number, or is NaN or infinite.  None
+    if that record parses; it is asked only when every record dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)  # the header
+        row = []
+        while not row:  # skip blank lines
+            line, row = reader.line_num + 1, next(reader)
+    if len(row) != len(header):
+        return f"{path}: line {line}: {len(row)} cells, but the header has {len(header)}"
+    for pos in positions:
+        try:
+            value = float(row[pos])
+        except ValueError:
+            return f"{path}: line {line}: column {header[pos]!r} holds {row[pos]!r}, which is not a number"
+        if not np.isfinite(value):
+            return f"{path}: line {line}: column {header[pos]!r} holds {row[pos]!r}, which is not finite"
+    return None
 
 
 def load_csv(path, feature_names=None, label_column: str = "label"):
     """Load a labelled flow CSV, the blocks of :func:`iter_labelled_blocks`
-    concatenated; returns (FlowDataset, dropped_row_count)."""
+    copied into one float64 matrix; returns (FlowDataset,
+    dropped_row_count).  The matrix is allocated once, with a row per
+    physical line, and cut to the rows kept."""
     blocks = iter_labelled_blocks(path, feature_names, label_column)
     feature_names = next(blocks)
-    features, labels, dropped = [], [], 0
+    features = np.empty((_count_lines(path), len(feature_names)), dtype=np.float64)
+    n, labels, dropped = 0, [], 0
     for block, block_labels, n_dropped in blocks:
-        features.append(block)
+        features[n : n + len(block)] = block
+        n += len(block)
         labels += block_labels
         dropped += n_dropped
-    return FlowDataset(np.concatenate(features), tuple(labels), feature_names), dropped
+        del block  # not held while the next block is read
+    features.resize((n, len(feature_names)), refcheck=False)  # in place: no view of it exists
+    return FlowDataset(features, tuple(labels), feature_names), dropped
+
+
+def _count_lines(path) -> int:
+    """An upper bound on the records of a file: its line terminators
+    (``\\n``, ``\\r\\n`` or a lone ``\\r``), counted in binary, plus one for
+    a last line without one.  A ``\\r\\n`` split between two reads counts
+    twice, which only raises the bound."""
+    lf = cr = crlf = 0
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            lf, cr, crlf = lf + chunk.count(b"\n"), cr + chunk.count(b"\r"), crlf + chunk.count(b"\r\n")
+    return lf + cr - crlf + 1
 
 
 def save_csv(path, dataset: FlowDataset, label_column: str = "label") -> None:
@@ -410,8 +572,11 @@ class Scaler:
     mean: np.ndarray
     std: np.ndarray
 
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
+    def transform(self, features: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(features - mean) / std``, written into ``out`` when given
+        (``features`` itself scales in place, with the same bits)."""
+        z = np.subtract(features, self.mean, out=out, dtype=np.float64)
+        return np.divide(z, self.std, out=z)
 
 
 def fit_scaler(features: np.ndarray) -> Scaler:

@@ -744,11 +744,9 @@ UNSW_NB15_HEADER = (
 )
 
 
-def test_unsw_nb15_preset_reads_the_published_columns(tmp_path):
-    """A file with the published UNSW-NB15 training/testing header and
-    text cells in proto, service and state runs through train, calibrate
-    and eval with the unedited preset; neither the row id nor the binary
-    attack flag is a feature."""
+def _unsw_nb15_csv(tmp_path):
+    """64 rows under the published UNSW-NB15 training/testing header, with
+    text cells in proto, service and state."""
     classes = ["Normal", "Analysis", "Backdoor", "DoS", "Generic", "Worms", "Fuzzers", "Exploits"]
     text = [("tcp", "-", "FIN"), ("udp", "dns", "INT"), ("tcp", "http", "CON"), ("arp", "-", "INT")]
     lines = [UNSW_NB15_HEADER]
@@ -759,6 +757,15 @@ def test_unsw_nb15_preset_reads_the_published_columns(tmp_path):
         lines.append(f"{i + 1},0.{i:06d},{proto},{service},{state},{numbers},{classes[k]},{int(k > 0)}")
     data = tmp_path / "unsw_nb15.csv"
     data.write_text("\n".join(lines) + "\n")
+    return data
+
+
+def test_unsw_nb15_preset_reads_the_published_columns(tmp_path):
+    """A file with the published UNSW-NB15 training/testing header and
+    text cells in proto, service and state runs through train, calibrate
+    and eval with the unedited preset; neither the row id nor the binary
+    attack flag is a feature."""
+    data = _unsw_nb15_csv(tmp_path)
     roles = str(dio.preset_roles_path("unsw_nb15"))
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"epochs": 2, "hidden_dims": [8, 8], "embed_dim": 4}))
@@ -770,3 +777,23 @@ def test_unsw_nb15_preset_reads_the_published_columns(tmp_path):
     assert main(["calibrate", "--bundle", str(bundle), "--data", str(data), "--roles", roles, "--out", str(cal)]) == 0
     assert main(["eval", "--bundle", str(cal), "--data", str(data), "--roles", roles,
                  "--report", str(tmp_path / "report.json")]) == 0
+
+
+def test_unsw_nb15_with_every_column_names_the_first_drop(tmp_path, capsys, caplog):
+    """With the unsw_nb15 preset's "feature_names" set to null, every
+    column but the label is a feature, text columns too, so every row
+    drops; one more warning names the line, column and cell that dropped
+    the first row, and the drop warning and the error stay as they were."""
+    data = _unsw_nb15_csv(tmp_path)
+    preset = json.loads(dio.preset_roles_path("unsw_nb15").read_text())
+    roles = tmp_path / "all_columns_roles.json"
+    roles.write_text(json.dumps({**preset, "feature_names": None}))
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1}))
+    assert main(["train", "--data", str(data), "--roles", str(roles), "--config", str(config),
+                 "--out", str(tmp_path / "model.bundle")]) == 1
+    assert capsys.readouterr().err == f"error: {data}: no usable records\n"
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"{data}: dropped 64 rows with missing or non-finite features",
+        f"{data}: line 2: column 'proto' holds 'tcp', which is not a number",
+    ]

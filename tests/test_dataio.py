@@ -394,10 +394,10 @@ def test_non_utf8_byte_names_file_line_and_offset(tmp_path, monkeypatch, end):
     assert outcome(reference_load_csv, str(path), None) == (dio.SchemaError, message)
 
 
-def test_load_csv_memory_is_bounded_by_the_matrix(tmp_path, monkeypatch):
-    """load_csv holds one block of raw text at a time: its traced peak on
-    a file of 16 blocks stays within 3x the float64 matrix it returns
-    (the whole-file reader held every cell as a str, about 10x)."""
+def traced_load_of_wide_csv(tmp_path, monkeypatch):
+    """load_csv of a file of 16 blocks of 256 rows and 40 features, under
+    tracemalloc; returns the matrix the file holds, the dataset and the
+    traced peak."""
     monkeypatch.setattr(dio, "BLOCK_ROWS", 256)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16 * dio.BLOCK_ROWS, 40))
@@ -412,8 +412,166 @@ def test_load_csv_memory_is_bounded_by_the_matrix(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return x, ds, peak
+
+
+def test_load_csv_memory_is_bounded_by_the_matrix(tmp_path, monkeypatch):
+    """load_csv holds one block of raw text at a time: its traced peak on
+    a file of 16 blocks stays within 3x the float64 matrix it returns
+    (the whole-file reader held every cell as a str, about 10x)."""
+    x, ds, peak = traced_load_of_wide_csv(tmp_path, monkeypatch)
     assert ds.features.tobytes() == x.tobytes()
     assert peak <= 3 * x.nbytes, peak / x.nbytes
+
+
+def test_load_csv_fills_one_matrix(tmp_path, monkeypatch):
+    """load_csv copies each block into one matrix allocated up front, so
+    its traced peak is that matrix plus one block's text and the copies
+    its checks make: at most 1.5x the matrix (holding the list of blocks
+    next to their concatenation took about 2.1x)."""
+    x, ds, peak = traced_load_of_wide_csv(tmp_path, monkeypatch)
+    assert ds.features.tobytes() == x.tobytes() and ds.features.flags.owndata
+    assert peak <= 1.5 * x.nbytes, peak / x.nbytes
+
+
+# What the block reader relies on in np.loadtxt: a line handed over with its
+# terminator parses as the line alone, and a cell parses to float()'s bits
+# or is a ValueError, after which the block is parsed cell by cell.
+LOADTXT = dict(delimiter=",", usecols=[0], comments=None, ndmin=2)
+
+
+@pytest.mark.parametrize("cell", ["-0.0", "4.9e-324", "1e400", " 7 ", "1.7976931348623157e308"])
+def test_loadtxt_parses_a_cell_to_float_bits(cell):
+    values = np.loadtxt([f"{cell},a\n", f"{cell},b\r\n", f"{cell},c\r", f"{cell},d"], **LOADTXT)
+    assert values.shape == (4, 1)
+    assert values.tobytes() == np.full((4, 1), float(cell)).tobytes()
+
+
+@pytest.mark.parametrize("cell", ["", "1_000"])
+def test_loadtxt_rejects_an_empty_cell_and_underscores(cell):
+    with pytest.raises(ValueError):
+        np.loadtxt(["1,a\n", f"{cell},b\n"], **LOADTXT)
+
+
+# one line of each kind the block checks must send to csv (or, for the
+# printable non-ASCII label, may leave to numpy), for a file with header
+# f0,f1,label and csv's field size limit lowered to 12; "{end}" stands for
+# the file's line ending
+CHECKED_LINES = {
+    "cell too many": "1.5,-2,a,9",
+    "cell too few": "1.5,a",
+    "empty first cell": ",-2,a",
+    "empty middle cell": "1.5,,a",
+    "empty last cell": "1.5,-2,",
+    "NUL": "1.5,-2,a\x00b",
+    "unit separator": "1.5,-2\x1f,a",
+    "DEL": "1.5,-2,\x7fa",
+    "printable non-ASCII": "1.5,-2,B\u00e9nin",
+    "line separator": "1.5,-2,a\u2028b",
+    "line over the field limit": "1.25,-2.5,abcdefghij",
+    "cell over the field limit": "1.5,-2,abcdefghijklm",
+    "blank line": "",
+    "quoted cell": '"1.5",-2,a',
+    "quoted line breaks": '1.5,-2,"x{end}y{end}z"',
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("kind", list(CHECKED_LINES))
+def test_block_checks_agree_with_the_oracle(tmp_path, monkeypatch, kind, end):
+    """A line of each kind as the first, a middle and the last line of a
+    block (a quoted record there runs into the next block), and as the
+    unterminated last line of the file, with blocks of 1, 3 and 1024
+    lines: load_csv gives the oracle's features, labels and drop count,
+    or its error and line."""
+    line = CHECKED_LINES[kind].replace("{end}", end)
+    old_limit = csv.field_size_limit(12)
+    try:
+        for block_rows in (1, 3, 1024):
+            monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+            for at in (block_rows, block_rows + block_rows // 2, 2 * block_rows - 1, None):
+                rows = [f"{k}.5,{-k},c{k % 3}" for k in range(2 * block_rows + 2)]
+                text = end.join(["f0,f1,label", *rows])
+                if at is None:
+                    text += end + line
+                else:
+                    rows.insert(at, line)
+                    text = end.join(["f0,f1,label", *rows]) + end
+                path = tmp_path / f"{block_rows}_{at}.csv"
+                path.write_bytes(text.encode("utf-8"))
+                expected = outcome(reference_load_csv, str(path), None)
+                assert outcome(streamed_load_csv, str(path), None) == expected, (block_rows, at)
+    finally:
+        csv.field_size_limit(old_limit)
+
+
+def test_only_flagged_lines_reach_the_cell_parser(tmp_path, monkeypatch):
+    """numpy parses every line of a clean file, NaN, Inf and printable
+    non-ASCII ones too, so _parse_rows sees no row; in a dirty file it
+    sees exactly the dirty lines, as csv reads them, in file order."""
+    seen = []
+    parse_rows = dio._parse_rows
+
+    def counting(rows, positions, width):
+        seen.extend(rows)
+        return parse_rows(rows, positions, width)
+
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 64)
+    monkeypatch.setattr(dio, "_parse_rows", counting)
+    lines = [f"{k}.5,{-k},c{k % 3}" for k in range(300)]
+    lines[7], lines[8] = "nan,inf,c1", "1.5,2,B\u00e9nin"
+    clean = tmp_path / "clean.csv"
+    clean.write_text("f0,f1,label\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    assert len(dio.load_csv(str(clean))[0]) == 299
+    assert seen == []
+    dirty_lines = {0: ",1,c0", 63: "1,2,c1,x", 64: '"1",2,c2', 100: "1,,c1", 150: "1,2\x00,c0", 200: "-1,2,",
+                   250: "1,2,c\u2028", 299: "1,c1"}
+    for k, line in dirty_lines.items():
+        lines[k] = line
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("f0,f1,label\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    dio.load_csv(str(dirty))
+    assert seen == [next(csv.reader([line])) for line in dirty_lines.values()]
+
+
+def test_a_csv_error_before_a_bad_byte_in_one_block_wins(tmp_path):
+    """A whole block is decoded before its lines are checked; a cell over
+    the field size limit on line 3 still wins over a byte that is not
+    UTF-8 on line 900, past the decoder's first chunk but in the same
+    block, as it does for the oracle."""
+    lines = [b"f0,label"] + [b"%d.125,abc" % k for k in range(1000)]
+    lines[2] = b"1," + b"x" * 40
+    lines[899] = b"2,\x96"
+    path = tmp_path / "both.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    old_limit = csv.field_size_limit(16)
+    try:
+        expected = outcome(reference_load_csv, str(path), None)
+        assert outcome(streamed_load_csv, str(path), None) == expected
+    finally:
+        csv.field_size_limit(old_limit)
+    assert expected == (dio.SchemaError, f"{path}: line 3: field larger than field limit (16)")
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        ("f0,f1,label\n1,2\n3,4,5,a\n", "line 2: 2 cells, but the header has 3"),
+        ("f0,f1,label\n\n1,x,a\n", "line 3: column 'f1' holds 'x', which is not a number"),
+        ("f0,f1,label\nnan,1,a\n", "line 2: column 'f0' holds 'nan', which is not finite"),
+        ('f0,f1,label\n"1,5",-inf,a\n', "line 2: column 'f0' holds '1,5', which is not a number"),
+        ("f0,f1,label\n1,-Infinity,a\n", "line 2: column 'f1' holds '-Infinity', which is not finite"),
+    ],
+)
+def test_every_row_dropped_names_the_first_cause(tmp_path, caplog, text, cause):
+    """When no row is usable, one more warning names the line and the
+    reason the first row dropped; the drop warning and the error stay."""
+    path = write(tmp_path / "flows.csv", text)
+    with pytest.raises(dio.EmptyDatasetError, match="no usable records$"):
+        dio.load_csv(path)
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[-1] == f"{path}: {cause}"
+    assert messages[-2].startswith(f"{path}: dropped ")
 
 
 def test_encode_labels_codes_and_names_every_outsider():
@@ -440,6 +598,19 @@ def test_scaler_constant_feature_maps_to_zero():
     x = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     z = dio.fit_scaler(x).transform(x)
     assert np.array_equal(z[:, 1], np.zeros(3))
+
+
+def test_scaler_transforms_in_place_with_the_same_bits(rng):
+    """train and score scale their matrices in place; that gives the bits
+    of the copying transform, and an int matrix still scales as float64."""
+    x = rng.normal(3.0, 2.5, size=(300, 4)) * [1.0, 1e-30, 1e30, 0.0]
+    scaler = dio.fit_scaler(x)
+    expected = (x - scaler.mean) / scaler.std
+    assert scaler.transform(x).tobytes() == expected.tobytes()
+    assert scaler.transform(x, out=x) is x
+    assert x.tobytes() == expected.tobytes()
+    ints = np.arange(12).reshape(3, 4)
+    assert scaler.transform(ints).tobytes() == scaler.transform(ints.astype(np.float64)).tobytes()
 
 
 def test_scaler_two_point_feature():
