@@ -178,13 +178,9 @@ def read_csv_rows(path):
             raise _encoding_error(path) from None
 
 
-# a little-endian word of eight 0/1 bytes, times _BYTES, holds their sum
-# in its top byte; _LOW[r] keeps a word's low r bytes
-_BYTES = np.uint64(0x0101010101010101)
-_LOW = np.array([(1 << 8 * r) - 1 for r in range(8)], dtype=np.uint64)
 # characters of a block checked at once, which bounds the copies of its
 # text the checks make
-_CHECK_CHARS = 1 << 16
+_CHECK_CHARS = 1 << 15
 
 
 def _check_lines(lines, commas, limit):
@@ -197,9 +193,9 @@ def _check_lines(lines, commas, limit):
     holds a ``"``, a number of commas other than ``commas``, an empty
     cell (a leading, trailing or doubled comma), a character below
     U+0020, U+007F or a non-ASCII character that is not printable, or it
-    is longer than ``limit``.  The lines are checked in runs of about
-    ``_CHECK_CHARS`` characters, so the copies of the text the checks
-    make stay small next to the block.
+    is longer than ``limit`` or than 65535 characters.  The lines are
+    checked in runs of about ``_CHECK_CHARS`` characters, so the copies
+    of the text the checks make stay small next to the block.
     """
     ends = np.cumsum(np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)))
     cuts = [0, *np.searchsorted(ends, np.arange(_CHECK_CHARS, ends[-1], _CHECK_CHARS)).tolist(), len(lines)]
@@ -213,52 +209,31 @@ def _check_run(lines, ends, commas, limit):
     offsets ``ends`` of their text.  The text is encoded with one byte
     per character (``?`` for a non-ASCII one), so a byte offset is a
     character offset, and a line holds a ``\\r`` or ``\\n`` only in its
-    terminator."""
+    terminator.  The commas and the stray bytes of each line are summed
+    as ``uint16``: a line over 65535 characters is flagged for its
+    length, and below that a sum that wraps falls short of the count a
+    clean line has."""
     text = "".join(lines)
-    ascii_only, quoted = text.isascii(), '"' in text
-    raw = text.encode("ascii", "replace")
+    ascii_only = text.isascii()
+    a = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
     del text
-    a = np.frombuffer(raw, dtype=np.uint8)
     starts = np.concatenate(([0], ends[:-1]))
     last = a[ends - 1]
-    lf, cr = last == 10, last == 13
-    crlf = lf & (ends - starts > 1) & (a[ends - 2] == 13)
-    stops = ends - lf - cr - crlf  # where each terminator starts
+    # where each terminator starts; a "\r" second from a line's end is
+    # the start of its "\r\n" (a one-character line has no second byte)
+    stops = ends - (last == 10) - (last == 13) - ((ends - starts > 1) & (a[ends - 2] == 13))
     blank = stops == starts
-    flagged = (stops - starts > limit) | (a[starts] == 44) | (a[stops - 1] == 44)
-
-    def flag(at):  # the lines holding the byte offsets ``at``, terminators excepted
-        line = np.searchsorted(ends, at, side="right")
-        flagged[line[at < stops[line]]] = True
-
-    # the terminators are bytes below 0x20; any more such bytes, or one
-    # from 0x7F on, lie inside a line (uint8 arithmetic wraps below 0x20)
-    odd = a - np.uint8(32)
-    np.greater(odd, 94, out=odd.view(bool))
-    if np.count_nonzero(odd) > len(lines) - np.count_nonzero(ends == stops) + np.count_nonzero(crlf):
-        flag(np.flatnonzero(odd))
-    if quoted:
-        flag(np.flatnonzero(a == 34))
-    doubled = odd.view(bool)[: len(a) // 2]  # odd's bytes, reused
-    for offset in (0, 1):  # ",," at an even, then at an odd offset
-        pairs = np.frombuffer(raw, dtype=np.uint16, count=(len(a) - offset) // 2, offset=offset)
-        np.equal(pairs, 0x2C2C, out=doubled[: len(pairs)])
-        if doubled[: len(pairs)].any():
-            flag(2 * np.flatnonzero(doubled[: len(pairs)]) + offset)
-    del odd, doubled, pairs
-    # commas per line from the comma count of each 8-byte word; the mask
-    # starts one zero word in, so after the cumulative sum words[k] counts
-    # the commas before word k of the run, and a line end's own word adds
-    # those of its bytes before the end
-    words = np.zeros(len(a) // 8 + 2, dtype="<u8")
-    np.equal(a, 44, out=words.view(bool)[8 : 8 + len(a)])
-    del a, raw
-    word, byte = np.divmod(np.concatenate((starts, stops)), 8)
-    before = ((words[word + 1] & _LOW[byte]) * _BYTES) >> np.uint64(56)
-    words *= _BYTES
-    words >>= np.uint64(56)
-    before += np.cumsum(words, out=words)[word]
-    flagged |= before[len(lines) :] - before[: len(lines)] != commas
+    comma = a == 44
+    flagged = (stops - starts > min(limit, 0xFFFF)) | comma[starts] | comma[stops - 1]
+    flagged |= np.add.reduceat(comma, starts, dtype=np.uint16) != commas
+    # a stray byte is one below 0x20 or from 0x7F on (uint8 arithmetic
+    # wraps below 0x20), a '"' or the first comma of a ",,"; those of a
+    # clean line are its terminator's
+    stray = (a - np.uint8(32)) > 94
+    stray |= a == 34
+    stray[:-1] |= comma[:-1] & comma[1:]
+    del comma, a
+    flagged |= np.add.reduceat(stray, starts, dtype=np.uint16) != ends - stops
     if not ascii_only:
         for k in np.flatnonzero(~flagged).tolist():
             flagged[k] = not (lines[k].isascii() or lines[k].rstrip("\r\n").isprintable())

@@ -534,6 +534,71 @@ def test_only_flagged_lines_reach_the_cell_parser(tmp_path, monkeypatch):
     assert seen == [next(csv.reader([line])) for line in dirty_lines.values()]
 
 
+def reference_check_lines(lines, commas, limit):
+    """(blank, flagged) of _check_lines, line by line on each line's str."""
+    blank, flagged = [], []
+    for line in lines:
+        body = line.removesuffix("\n").removesuffix("\r")
+        blank.append(body == "")
+        flagged.append(body != "" and (
+            '"' in body or body.count(",") != commas or ",," in body or body[:1] == "," or body[-1:] == ","
+            or len(body) > min(limit, 0xFFFF) or not body.isprintable()
+        ))
+    return blank, flagged
+
+
+# characters a line's body may hold: digits and commas mostly, and each
+# kind of character the checks look for (no \r or \n, which end a line)
+body_chars = st.one_of(
+    st.sampled_from("0123456789,"),
+    st.sampled_from(['"', "\x00", "\x1f", "\x7f", "\x85", "\u2028", "\u00e9", " ", "a", "."]),
+)
+
+
+@st.composite
+def checked_blocks(draw):
+    """Physical lines as a file yields them: LF, CRLF or CR endings, and
+    maybe an unterminated last line."""
+    bodies = draw(st.lists(st.text(body_chars, max_size=24), min_size=1, max_size=40))
+    lines = [body + draw(st.sampled_from(["\n", "\r\n", "\r"])) for body in bodies]
+    if bodies[-1] and draw(st.booleans()):
+        lines[-1] = bodies[-1]
+    return lines
+
+
+@given(checked_blocks(), st.integers(0, 4), st.sampled_from([12, csv.field_size_limit()]),
+       st.sampled_from([1, 5, 64, dio._CHECK_CHARS]))
+@settings(max_examples=400, deadline=None)
+def test_block_checks_flag_as_a_per_line_reference(lines, commas, limit, check_chars):
+    """_check_lines flags exactly the lines the per-line reference flags,
+    also with runs so short that lines cross their boundaries: extra
+    flags, which leave load_csv's output unchanged, fail here."""
+    default = dio._CHECK_CHARS
+    try:
+        dio._CHECK_CHARS = check_chars
+        blank, flagged = dio._check_lines(lines, commas, limit)
+    finally:
+        dio._CHECK_CHARS = default
+    assert (blank.tolist(), flagged.tolist()) == reference_check_lines(lines, commas, limit)
+
+
+@pytest.mark.parametrize("line, dropped", [("1," * 65537 + "a", 1), ("2.5," + "x" * 70000, 0)],
+                         ids=["65537 commas", "70000-char label"])
+def test_lines_over_65535_characters_go_to_csv(tmp_path, line, dropped):
+    """A line over 65535 characters within csv's field size limit is read
+    as the oracle reads it: 65537 commas, which a 16-bit count would take
+    for one, make a ragged row, and a long label is kept whole."""
+    path = tmp_path / "long.csv"
+    path.write_text(f"f0,label\n1.5,a\n{line}\n3,b\n", encoding="utf-8")
+    old_limit = csv.field_size_limit(1 << 20)
+    try:
+        expected = outcome(reference_load_csv, str(path), None)
+        assert outcome(streamed_load_csv, str(path), None) == expected
+    finally:
+        csv.field_size_limit(old_limit)
+    assert expected[3] == dropped
+
+
 def test_a_csv_error_before_a_bad_byte_in_one_block_wins(tmp_path):
     """A whole block is decoded before its lines are checked; a cell over
     the field size limit on line 3 still wins over a byte that is not
