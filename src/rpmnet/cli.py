@@ -11,12 +11,12 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
 import sys
 import time
+import types
 from dataclasses import replace
 from datetime import datetime, timezone
 
@@ -88,11 +88,19 @@ def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, sta
 
 
 def _load_train_config(path, seed_override) -> TrainConfig:
-    raw = {}
+    """The ``--config`` file's TrainConfig (the defaults without one); an
+    error in it names the file."""
+    config = TrainConfig()
     if path:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    config = TrainConfig.from_dict(raw)
+            try:
+                raw = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise CliError(f"{path}: not valid JSON ({e})") from None
+        try:
+            config = TrainConfig.from_dict(raw)
+        except ValueError as e:
+            raise CliError(f"{path}: {e}") from None
     return config if seed_override is None else replace(config, seed=seed_override)
 
 
@@ -104,6 +112,15 @@ def _load_calibrated_bundle(path) -> dataio.Bundle:
             "run `rpmnet calibrate` and use the bundle it writes"
         )
     return bundle
+
+
+def _require_samples(found, role, args) -> None:
+    """Raise CliError, before any output is written, if ``--data`` has no
+    row in the partition fed by the ``role`` classes of ``--roles``."""
+    if not found:
+        raise CliError(
+            f"no {role.replace('_', '-')} samples in {args.data}; check the {role} classes in {args.roles}"
+        )
 
 
 def _score_blocks(bundle, blocks):
@@ -140,6 +157,7 @@ def cmd_train(args) -> int:
     roles = dataio.load_roles(args.roles)
     dataset, dropped = dataio.load_csv(args.data, roles.feature_names, roles.label_column)
     keep = np.flatnonzero(dataio.make_split(dataset.labels, roles, seed=config.seed) == 0)
+    _require_samples(keep.size, dataio.ROLE_KNOWN, args)
     features, labels, feature_names = dataset.features[keep], [dataset.labels[i] for i in keep], dataset.feature_names
     del dataset  # only the known-train rows reach training
     scaler = dataio.fit_scaler(features)
@@ -177,10 +195,8 @@ def cmd_calibrate(args) -> int:
     bundle = dataio.load_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
     _, scores, _, part, extra = _score_labelled(bundle, args.data, roles)
-    if not (part == 2).any():
-        raise CliError(
-            f"no validation-unknown samples in {args.data}; check the validation_unknown classes in {args.roles}"
-        )
+    _require_samples((part == 0).any(), dataio.ROLE_KNOWN, args)
+    _require_samples((part == 2).any(), dataio.ROLE_VALIDATION_UNKNOWN, args)
     threshold = osr.calibrate(scores[part == 0], scores[part == 2])
     superseded = bundle.threshold.tau if bundle.threshold is not None else None
     dataio.save_bundle(args.out, replace(bundle, threshold=threshold))
@@ -205,6 +221,7 @@ def cmd_eval(args) -> int:
     roles = dataio.load_roles(args.roles)
     labels, scores, predicted, part, extra = _score_labelled(bundle, args.data, roles)
     known = part == 1
+    _require_samples(known.any(), dataio.ROLE_KNOWN, args)
     y = dataio.encode_labels([labels[i] for i in np.flatnonzero(known)], bundle.params.class_names)
     report = mx.evaluate(
         bundle.params.class_names, bundle.threshold, scores[known], predicted[known], y, scores[part == 3]
@@ -228,35 +245,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _class_cells(class_names) -> list:
-    """Each class name as the cell ``csv.writer`` writes for it, quoted
-    where it needs quoting."""
-    cells = []
-    for name in class_names:
-        buf = io.StringIO()
-        csv.writer(buf).writerow(["", name])
-        cells.append(buf.getvalue()[1:-2])
-    return cells
+_LINE_WRITER = csv.writer(types.SimpleNamespace(write=str))  # writerow returns what write returns
 
 
-def _write_scored_rows(fh, writer, rows, scored, class_names, class_cells) -> None:
-    """Write each kept row of a block with the three appended columns of
-    its ``scored`` entry, with the bytes of ``writer.writerow``.  A row
-    is a list of cells or, for a record that numpy parsed, its line as
-    read, written without its terminator.
-    Such a line holds no cell that ``csv.writer`` would quote, nor does a
-    score's ``repr`` or ``true``/``false``, so it is written joined, with
-    the class name as ``class_cells`` holds it; ``writer`` writes every
-    other row."""
+def _csv_line(cells) -> str:
+    """The line ``csv.writer`` writes for ``cells``, less its ``\\r\\n``
+    terminator (which also makes it quote a cell holding a line break)."""
+    return _LINE_WRITER.writerow(cells)[:-2]
+
+
+def _write_scored_rows(fh, rows, scored, class_cells) -> None:
+    """Write each kept row of a block, with the three columns its
+    ``scored`` entry appends, as one line of ``csv.writer``'s bytes.  A
+    row is a line numpy parsed, which holds no cell that needs quoting,
+    or a list of cells, written by :func:`_csv_line`; ``class_cells``
+    holds each class name quoted as needed, and a score's ``repr`` and
+    ``true``/``false`` need none.  ``writerow`` quotes each cell alone, so
+    the joined line is ``writerow(row + appended)``'s, except for a row of
+    one empty cell (``""``); a kept row is never one: its features parsed."""
     for row, k, score, unknown in zip(
         rows, scored.predicted.tolist(), scored.scores.tolist(), scored.is_unknown.tolist()
     ):
         flag = "true" if unknown else "false"
-        if isinstance(row, str):
-            line = row.rstrip("\r\n")
-            fh.write(f"{line},{class_cells[k]},{score!r},{flag}\r\n")
-        else:
-            writer.writerow(row + [class_names[k], repr(score), flag])
+        line = row.rstrip("\r\n") if isinstance(row, str) else _csv_line(row)
+        fh.write(f"{line},{class_cells[k]},{score!r},{flag}\r\n")
 
 
 @contextlib.contextmanager
@@ -281,18 +293,16 @@ def cmd_score(args) -> int:
     _refuse_in_place(args, "out", ("bundle", "data"))
     bundle = _load_calibrated_bundle(args.bundle)
     rows_scored = dropped = 0
-    class_names = bundle.params.class_names
-    class_cells = _class_cells(class_names)
+    class_cells = [_csv_line(["", name])[1:] for name in bundle.params.class_names]
     with contextlib.closing(dataio.iter_records(args.data)) as records:
         header = next(records)
         # checked before --out is created, so a file with no rows is checked too
         positions = dataio.column_positions(header, bundle.feature_names)
         with _atomic_output(args.out) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header + ["predicted_label", "score", "is_unknown"])
+            fh.write(_csv_line(header + ["predicted_label", "score", "is_unknown"]) + "\r\n")
             blocks = dataio.iter_feature_blocks(records, positions, len(header))
             for scored, rows, n_dropped in _score_blocks(bundle, blocks):
-                _write_scored_rows(fh, writer, rows, osr.detect(scored, bundle.threshold), class_names, class_cells)
+                _write_scored_rows(fh, rows, osr.detect(scored, bundle.threshold), class_cells)
                 rows_scored += len(rows)
                 dropped += n_dropped
     if dropped:

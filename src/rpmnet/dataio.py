@@ -246,47 +246,44 @@ def iter_records(path):
     and errors as :func:`read_csv_rows`, without a ``str`` per cell
     where numpy can parse the line.
 
-    A block is a pair (records, exact).  It reads ``BLOCK_ROWS``
-    physical lines and checks them together with :func:`_check_lines`.
-    Each line that passes is a record on its own, which ``csv`` splits on
-    commas and nowhere else; it stays in the records list as read,
-    terminator included, for :func:`_parse_block` to hand to numpy.  A
-    flagged line starts a record that ``csv`` reads as its list of
-    cells, taking in the continuation lines of a quoted cell, also past
-    the block's last line; ``exact`` lists where such records sit.  A
-    block with no blank or flagged line is the list of lines as read.
+    A block is a list of records.  It reads ``BLOCK_ROWS`` physical
+    lines and checks them together with :func:`_check_lines`.  Each line
+    that passes is a record on its own, which ``csv`` splits on commas
+    and nowhere else; it stays a ``str`` as read, terminator included,
+    for :func:`_parse_block` to hand to numpy.  A flagged line starts a
+    record that ``csv`` reads as its list of cells, taking in the
+    continuation lines of a quoted cell, also past the block's last line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         line_num = 0  # physical lines before the current block
 
         def cells(lines, k):
-            """The record ``csv`` reads from ``lines[k]`` on, and how many
-            physical lines it took."""
+            """The record ``csv`` reads from ``lines[k]`` on, and the index
+            in ``lines`` of the line after it."""
             reader = csv.reader(itertools.chain(itertools.islice(lines, k, None), fh))
             try:
                 row = next(reader)
             except csv.Error as e:
                 raise SchemaError(f"{path}: line {line_num + k + reader.line_num}: {e}") from None
-            return row, reader.line_num
+            return row, k + reader.line_num
 
         def next_block():
             """The next block holding a record, or None at the end of the file."""
             nonlocal line_num
             while lines := list(itertools.islice(fh, BLOCK_ROWS)):
                 blank, flagged = _check_lines(lines, commas, limit)
-                if not (blank.any() or flagged.any()):
-                    line_num += len(lines)
-                    return lines, []
-                take, rows, after = ~blank, {}, 0
-                for k in np.flatnonzero(flagged).tolist():
-                    if k >= after:  # not a continuation line of the record before
-                        rows[k], used = cells(lines, k)
-                        after = k + used
-                        take[k + 1 : after] = False
-                line_num += max(len(lines), after)
-                order = np.flatnonzero(take).tolist()
-                if order:
-                    return [rows.get(k, lines[k]) for k in order], [j for j, k in enumerate(order) if k in rows]
+                records, start = [], 0  # start: the first line no record has taken
+                for k in np.flatnonzero(blank | flagged).tolist():
+                    if k >= start:  # else a continuation line of the record before
+                        records += lines[start:k]
+                        start = k + 1  # past a blank line
+                        if flagged[k]:
+                            row, start = cells(lines, k)
+                            records.append(row)
+                records += lines[start:]
+                line_num += max(len(lines), start)
+                if records:
+                    return records
             return None
 
         try:
@@ -303,7 +300,7 @@ def iter_records(path):
             raise _first_error(path) from None
 
 
-def _parse_block(block, positions, width):
+def _parse_block(records, positions, width):
     """Parse one block of :func:`iter_records` the way
     :func:`extract_features` parses rows; returns (features, kept
     records, dropped count), a kept line as read, terminator included.
@@ -314,24 +311,24 @@ def _parse_block(block, positions, width):
     as ``1_000``; if it rejects one, every record of the block is parsed
     from its cells instead.
     """
-    records, exact = block
     n = len(records)
+    by_cells = [i for i, r in enumerate(records) if not isinstance(r, str)]  # records parsed cell by cell
     parsed = np.ones(n, dtype=bool)
-    parsed[exact] = False
-    lines = [records[i] for i in np.flatnonzero(parsed).tolist()] if exact else records
+    parsed[by_cells] = False
+    lines = [r for r in records if isinstance(r, str)] if by_cells else records
     try:
         numbers = np.loadtxt(lines, delimiter=",", usecols=positions, comments=None, ndmin=2) if lines else None
     except ValueError:
-        parsed[:], exact, numbers = False, range(n), None
-    if not exact:
+        parsed[:], by_cells, numbers = False, range(n), None
+    if not by_cells:
         features = numbers
     else:
         features = np.empty((n, len(positions)), dtype=np.float64)
         if numbers is not None:
             features[parsed] = numbers
-        rows = [records[i].rstrip("\r\n").split(",") if isinstance(records[i], str) else records[i] for i in exact]
+        rows = [records[i].rstrip("\r\n").split(",") if isinstance(records[i], str) else records[i] for i in by_cells]
         values, parsed_rows = _parse_rows(rows, positions, width)
-        done = [exact[k] for k in parsed_rows]
+        done = [by_cells[k] for k in parsed_rows]
         features[done] = values
         parsed[done] = True
     parsed &= np.isfinite(features).all(axis=1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import rpmnet.cli as cli
 import rpmnet.dataio as dio
 import rpmnet.openset as osr
-from rpmnet.cli import _class_cells, _write_scored_rows, main
+from rpmnet.cli import _csv_line, _write_scored_rows, main
 from rpmnet.synthetic import gaussian_clusters
 
 
@@ -649,16 +649,21 @@ CLASS_NAME = st.text(
 @settings(max_examples=300, deadline=None)
 def test_scored_rows_match_csv_writer(name, score, unknown):
     """A line that numpy parsed, written with the class name's
-    precomputed cell, and a row of cells give csv.writer's bytes."""
+    precomputed cell, and rows of cells, some of which need quoting,
+    give csv.writer's bytes."""
     cells = ["1.5", "-2", "0.25", "BENIGN"]
-    rows = [",".join(cells), cells, ",".join(cells)]
+    quoted = [["1.5", "a,b", "0.25", "x"], ["1.5", 'say "hi"', "0.25", "x"], ["1.5", "two\nlines", "0.25", "cr\r\nlf"],
+              ["", "-2", "0.25", "x"], ["1.5", "-2", "0.25", ""]]
+    rows = [",".join(cells) + "\r\n", cells, ",".join(cells) + "\n", *quoted]
+    cell_rows = [cells, cells, cells, *quoted]
+    predicted = [1, 1, 0, 1, 0, 1, 0, 1]
     class_names = ("other", name)
-    scored = osr.ScoredBatch(scores=np.full(3, score), predicted=np.array([1, 1, 0]),
-                             is_unknown=np.full(3, unknown))
+    scored = osr.ScoredBatch(scores=np.full(len(rows), score), predicted=np.array(predicted),
+                             is_unknown=np.full(len(rows), unknown))
     fast, ref = io.StringIO(newline=""), io.StringIO(newline="")
-    _write_scored_rows(fast, csv.writer(fast), rows, scored, class_names, _class_cells(class_names))
+    _write_scored_rows(fast, rows, scored, [_csv_line(["", n])[1:] for n in class_names])
     flag = "true" if unknown else "false"
-    csv.writer(ref).writerows(cells + [class_names[k], repr(score), flag] for k in (1, 1, 0))
+    csv.writer(ref).writerows(r + [class_names[k], repr(score), flag] for r, k in zip(cell_rows, predicted))
     assert fast.getvalue() == ref.getvalue()
 
 
@@ -728,12 +733,45 @@ def test_score_quoted_cells_match_csv_writer(workspace):
 
 @pytest.mark.parametrize("seed", [None, 3])
 def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
-    config = workspace["dir"] / "list.json"
-    config.write_text("[1]")
-    argv = ["train", "--data", workspace["data"], "--roles", workspace["roles"], "--config", str(config),
-            "--out", workspace["bundle"]]
-    assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 1
-    assert "config must be a JSON object, not list" in capsys.readouterr().err
+    """A config that is not a JSON object, or not JSON at all, is an
+    error naming the config file."""
+    for name, text, message in [
+        ("list.json", "[1]", "config must be a JSON object, not list"),
+        ("bad.json", "{bad", "not valid JSON (Expecting property name enclosed in double quotes"),
+    ]:
+        config = workspace["dir"] / name
+        config.write_text(text)
+        argv = ["train", "--data", workspace["data"], "--roles", workspace["roles"], "--config", str(config),
+                "--out", workspace["bundle"]]
+        assert main(argv + (["--seed", str(seed)] if seed is not None else [])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ") and message in err
+        assert not (workspace["dir"] / "model.bundle").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "eval"])
+def test_no_known_rows_is_a_clear_error(workspace, capsys, command):
+    """A file holding only unknown-class rows stops each command before
+    it writes anything, naming the file and the roles key to check."""
+    header, rows = dio.read_csv_rows(workspace["data"])
+    data = workspace["dir"] / "unknown_only.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *(r for r in rows if r[4] in ("nov_val", "nov_test"))])
+    if command != "train":
+        assert run_train(workspace) == 0 and run_calibrate(workspace) == 0
+    out = workspace["dir"] / "out"
+    inputs = ["--data", str(data), "--roles", workspace["roles"]]
+    argv = {
+        "train": ["train", *inputs, "--config", workspace["config"], "--out", str(out)],
+        "calibrate": ["calibrate", "--bundle", workspace["bundle"], *inputs, "--out", str(out)],
+        "eval": ["eval", "--bundle", workspace["calibrated"], *inputs, "--report", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: no known samples in {data}; check the known classes in {workspace['roles']}\n"
+    )
+    assert not list(workspace["dir"].glob("out*"))
 
 
 UNSW_NB15_HEADER = (

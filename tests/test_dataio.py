@@ -294,7 +294,7 @@ def outcome(load, path, feature_names):
 # cells numpy's text reader and float() treat differently, or that only
 # csv can split: control characters, an em space, quotes, line breaks
 FILE_CELLS = ["\x00", "1\x1c", "\x1f1", "\x1e", "2\x1d5", "\u20031", "1\u2003",
-              'a"b', '"', '1"', "x\ny", "x\r\ny", "\r", "a,b", "1,5", "", " "]
+              'a"b', '"', '1"', "x\ny", "x\r\ny", "x\n\ny", "\r", "a,b", "1,5", "", " "]
 file_cells = st.one_of(cells, st.sampled_from(FILE_CELLS))
 
 
@@ -473,6 +473,7 @@ CHECKED_LINES = {
     "blank line": "",
     "quoted cell": '"1.5",-2,a',
     "quoted line breaks": '1.5,-2,"x{end}y{end}z"',
+    "quoted blank line": '1.5,-2,"x{end}{end}y"',
 }
 
 
