@@ -92,11 +92,7 @@ def _load_train_config(path, seed_override) -> TrainConfig:
     error in it names the file."""
     config = TrainConfig()
     if path:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise CliError(f"{path}: not valid JSON ({e})") from None
+        raw = dataio.read_json(path, CliError)
         try:
             config = TrainConfig.from_dict(raw)
         except ValueError as e:
@@ -158,8 +154,15 @@ def cmd_train(args) -> int:
     dataset, dropped = dataio.load_csv(args.data, roles.feature_names, roles.label_column)
     keep = np.flatnonzero(dataio.make_split(dataset.labels, roles, seed=config.seed) == 0)
     _require_samples(keep.size, dataio.ROLE_KNOWN, args)
-    features, labels, feature_names = dataset.features[keep], [dataset.labels[i] for i in keep], dataset.feature_names
+    features, labels, feature_names = dataset.features, [dataset.labels[i] for i in keep], dataset.feature_names
     del dataset  # only the known-train rows reach training
+    # move them to the front in place, a block of rows at a time: keep is
+    # ascending, so no block overwrites a row a later one reads, and no
+    # second matrix exists
+    for start in range(0, keep.size, dataio.BLOCK_ROWS):
+        rows = keep[start : start + dataio.BLOCK_ROWS]
+        features[start : start + rows.size] = features[rows]
+    features.resize((keep.size, features.shape[1]), refcheck=False)
     scaler = dataio.fit_scaler(features)
     params, history = train(scaler.transform(features, out=features), labels, config, tuple(sorted(roles.known)))
     bundle = dataio.Bundle(

@@ -1,6 +1,7 @@
 """Training hyperparameters."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -30,6 +31,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.epochs < 0:
@@ -48,6 +52,11 @@ class TrainConfig:
             raise ValueError("hidden_dims sizes must be >= 1")
         if min(self.ce_weight, self.margin_weight, self.fisher_weight) < 0:
             raise ValueError("loss weights must be non-negative")
+        for key in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if self.adam_eps <= 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
 
     def to_dict(self) -> dict:

@@ -57,6 +57,7 @@ __all__ = [
     "save_csv",
     "encode_labels",
     "fit_scaler",
+    "read_json",
     "load_roles",
     "preset_roles_path",
     "make_split",
@@ -603,6 +604,21 @@ class ClassRoles:
         return self.default
 
 
+def read_json(path, error):
+    """The JSON value a UTF-8 file holds; a byte that is not UTF-8, or
+    text that is not JSON, is an ``error`` naming the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        raise error(
+            f"{path}: byte 0x{data[e.start]:02x} at byte offset {e.start} is not UTF-8; re-encode the file as UTF-8"
+        ) from None
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: not valid JSON ({e})") from None
+
+
 def load_roles(path) -> ClassRoles:
     """Read a roles config: a JSON object with ``known``/
     ``validation_unknown``/``test_unknown`` class-name lists, plus
@@ -611,11 +627,7 @@ def load_roles(path) -> ClassRoles:
     mean every non-label column).  Values are checked, not coerced; a
     wrong type or an empty ``feature_names`` is a RolesError naming the
     key."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise RolesError(f"{path}: not valid JSON ({e})") from None
+    raw = read_json(path, RolesError)
     if not isinstance(raw, dict):
         raise RolesError(f"{path}: roles must be a JSON object, not {type(raw).__name__}")
     known_keys = {*ROLES, "default", "label_column", "feature_names", "note"}

@@ -34,8 +34,8 @@ NORM_GUARD = 1e-12
 
 INFER_ROWS = 256  # rows in every product of class_distances
 
-# Leaf order is the canonical parameter order used by the optimizer and
-# the bundle format.
+# Leaf order is the canonical parameter order: of the optimizer's flat
+# vector (flat_params) and of the bundle format.
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "points", "raw_margins")
 
 
@@ -97,6 +97,17 @@ class ModelParams:
             reciprocal_points=values["points"],
             raw_margins=values["raw_margins"],
         )
+
+
+def flat_params(params: ModelParams):
+    """``(theta, view)``: the trainable tensors copied into one float64
+    vector in ``PARAM_NAMES`` order, and ``params`` with each tensor a
+    view of that vector, so updating ``theta`` in place updates them."""
+    values = params.trainable()
+    theta = np.concatenate([a.ravel() for a in values.values()])
+    ends = np.cumsum([a.size for a in values.values()])
+    views = {name: theta[end - a.size : end].reshape(a.shape) for (name, a), end in zip(values.items(), ends)}
+    return theta, params.with_values(views)
 
 
 def init_params(input_dim: int, class_names, config: TrainConfig, rng: np.random.Generator) -> ModelParams:

@@ -21,7 +21,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "EpochStats",
-    "AdamState",
     "adam_step",
     "train",
     "format_history",
@@ -46,38 +45,18 @@ class EpochStats:
     accuracy: float
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates per trainable tensor."""
-
-    m: dict
-    v: dict
-    step: int = 0
-
-    @classmethod
-    def for_values(cls, values: dict) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(a) for k, a in values.items()},
-            v={k: np.zeros_like(a) for k, a in values.items()},
-        )
-
-
-def adam_step(values: dict, grads: dict, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One bias-corrected Adam update; returns (new values, new state)."""
-    t = state.step + 1
-    new_values, new_m, new_v = {}, {}, {}
-    for name, theta in values.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ad.ShapeError(f"adam_step: gradient shape {g.shape} != parameter shape {theta.shape} for {name}")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        new_values[name] = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[name], new_v[name] = m, v
-    return new_values, AdamState(m=new_m, v=new_v, step=t)
+def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig):
+    """One bias-corrected Adam update of the flat parameter vector
+    ``theta`` and its moments ``m`` and ``v``, all in place; ``t`` counts
+    steps from 1."""
+    if grad.shape != theta.shape:  # a broadcast gradient would pass silently
+        raise ad.ShapeError(f"adam_step: gradient shape {grad.shape} != parameter shape {theta.shape}")
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * (grad * grad)
+    theta -= config.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + config.adam_eps)
 
 
 def _dropout_masks(rng: np.random.Generator, n: int, hidden_dims, rate: float):
@@ -102,9 +81,8 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
             warnings.warn(f"class {name!r} has no training samples; keeping it in the vocabulary")
 
     rng = np.random.default_rng(config.seed)
-    params = mdl.init_params(x.shape[1], class_names, config, rng)
-    values = params.trainable()
-    state = AdamState.for_values(values)
+    theta, params = mdl.flat_params(mdl.init_params(x.shape[1], class_names, config, rng))
+    m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     n = x.shape[0]
     history: list[EpochStats] = []
 
@@ -122,11 +100,8 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {bi}: {e}"
                 ) from e
-            values, state = adam_step(
-                values, grads, state, config.lr,
-                config.adam_beta1, config.adam_beta2, config.adam_eps,
-            )
-            params = params.with_values(values)
+            t += 1
+            adam_step(theta, np.concatenate([grads[name].ravel() for name in mdl.PARAM_NAMES]), m, v, t, config)
             batch_stats.append(breakdown)
 
         preds = np.argmax(mdl.class_distances(params, x), axis=1)

@@ -483,6 +483,36 @@ def test_calibrate_and_eval_memory_stays_below_the_matrix(tmp_path):
         assert peak < 0.5 * n * d * 8, (argv[0], peak / (n * d * 8))
 
 
+def test_train_compacts_the_known_rows_in_place(tmp_path, monkeypatch):
+    """train moves the known-train rows to the front of the loaded matrix
+    in place: on a file of 16 blocks of 256 rows and 40 features, with a
+    tiny config, its traced peak stays within 1.6x the file's float64
+    matrix (about 1.4x; copying the rows out next to the loaded matrix
+    took about 1.75x), and the scaler is fit on exactly those rows."""
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 256)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(16 * dio.BLOCK_ROWS, 40))
+    labels = [f"class{i % 5}" for i in range(x.shape[0])]
+    data, roles, config = tmp_path / "wide.csv", tmp_path / "roles.json", tmp_path / "train.json"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(f"f{j}" for j in range(x.shape[1])) + ",label\n")
+        for row, label in zip(x.tolist(), labels):
+            fh.write(",".join(map(repr, row)) + f",{label}\n")
+    roles.write_text(json.dumps({"known": ["class0", "class1", "class2", "class3"], "validation_unknown": ["class4"]}))
+    config.write_text(json.dumps({"epochs": 1, "batch_size": 256, "hidden_dims": [8, 6], "embed_dim": 4}))
+    bundle = tmp_path / "model.bundle"
+    tracemalloc.start()
+    try:
+        assert main(["train", "--data", str(data), "--roles", str(roles), "--config", str(config),
+                     "--out", str(bundle)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * x.nbytes, peak / x.nbytes
+    keep = dio.make_split(labels, dio.load_roles(roles), seed=0) == 0
+    assert dio.load_bundle(bundle).scaler.mean.tobytes() == x[keep].mean(axis=0).tobytes()
+
+
 def test_score_memory_does_not_grow_with_file(workspace, tmp_path):
     """The traced peak of scoring a file 8 blocks long stays near that of
     a one-block file: score holds one block at a time."""
@@ -733,11 +763,12 @@ def test_score_quoted_cells_match_csv_writer(workspace):
 
 @pytest.mark.parametrize("seed", [None, 3])
 def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
-    """A config that is not a JSON object, or not JSON at all, is an
-    error naming the config file."""
+    """A config that is not a JSON object, not JSON at all, or holds a
+    non-finite number is an error naming the config file."""
     for name, text, message in [
         ("list.json", "[1]", "config must be a JSON object, not list"),
         ("bad.json", "{bad", "not valid JSON (Expecting property name enclosed in double quotes"),
+        ("nan.json", '{"lr": NaN}', "lr must be finite, got nan"),
     ]:
         config = workspace["dir"] / name
         config.write_text(text)
@@ -747,6 +778,31 @@ def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ") and message in err
         assert not (workspace["dir"] / "model.bundle").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("train", "config"), ("train", "roles"), ("calibrate", "roles"),
+                                           ("eval", "roles")])
+def test_json_file_not_utf8_is_a_clear_error(workspace, capsys, command, flag):
+    """A --config or --roles file holding a byte that is not UTF-8 stops
+    the command, naming the file and the byte's offset, before it writes
+    anything."""
+    if command != "train":
+        assert run_train(workspace) == 0 and run_calibrate(workspace) == 0
+    bad = workspace["dir"] / "cp1252.json"
+    bad.write_bytes(b'{"epochs": "\x96"}')
+    out = workspace["dir"] / "out"
+    inputs = {"data": workspace["data"], "roles": workspace["roles"], flag: str(bad)}
+    argv = {
+        "train": ["train", "--config", inputs.get("config", workspace["config"]), "--out", str(out)],
+        "calibrate": ["calibrate", "--bundle", workspace["bundle"], "--out", str(out)],
+        "eval": ["eval", "--bundle", workspace["calibrated"], "--report", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + ["--data", inputs["data"], "--roles", inputs["roles"]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: byte 0x96 at byte offset 12 is not UTF-8; re-encode the file as UTF-8\n"
+    )
+    assert not list(workspace["dir"].glob("out*"))
 
 
 @pytest.mark.parametrize("command", ["train", "calibrate", "eval"])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import rpmnet.losses as losses
 import rpmnet.model as mdl
 from rpmnet.config import TrainConfig
+from rpmnet.dataio import encode_labels
 from rpmnet.synthetic import gaussian_clusters
 from rpmnet.train import (
-    AdamState,
+    EpochStats,
     TrainingDivergedError,
     adam_step,
     format_history,
@@ -44,6 +46,15 @@ def blob_data(seed=5, n=100):
         ({"hidden_dims": "32,16"}, "config key 'hidden_dims' must be a list of two integers"),
         ({"hidden_dims": [0, 5]}, "hidden_dims sizes must be >= 1"),
         ({"hidden_dims": [-1, 5]}, "hidden_dims sizes must be >= 1"),
+        ({"lr": float("nan")}, "lr must be finite, got nan"),
+        ({"logit_scale": float("inf")}, "logit_scale must be finite, got inf"),
+        ({"ce_weight": float("nan")}, "ce_weight must be finite, got nan"),
+        ({"fisher_weight": float("inf")}, "fisher_weight must be finite, got inf"),
+        ({"adam_beta1": 1.0}, "adam_beta1 must lie in [0, 1), got 1.0"),
+        ({"adam_beta2": 1.5}, "adam_beta2 must lie in [0, 1), got 1.5"),
+        ({"adam_beta1": -0.5}, "adam_beta1 must lie in [0, 1), got -0.5"),
+        ({"adam_eps": -1}, "adam_eps must be positive, got -1"),
+        ({"adam_eps": 0.0}, "adam_eps must be positive, got 0.0"),
     ],
 )
 def test_config_from_dict_rejects_wrong_value_types(raw, message):
@@ -73,41 +84,109 @@ def test_config_from_dict_stores_values_as_given(raw, key, stored):
 # adam
 
 
+def adam(theta, grad, lr, steps=1):
+    """Run ``steps`` Adam steps with gradient ``grad`` on ``theta`` in
+    place, from zero moments; returns the moments."""
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for t in range(1, steps + 1):
+        adam_step(theta, grad, m, v, t, TrainConfig(lr=lr))
+    return m, v
+
+
 def test_adam_zero_gradient_leaves_params_unchanged():
-    values = {"w": np.array([1.0, -2.0])}
-    state = AdamState.for_values(values)
-    out, state = adam_step(values, {"w": np.zeros(2)}, state, lr=0.1)
-    assert np.array_equal(out["w"], values["w"])
-    assert state.step == 1
+    theta = np.array([1.0, -2.0])
+    out = theta.copy()
+    m, v = adam(out, np.zeros(2), lr=0.1)
+    assert np.array_equal(out, theta)
+    assert not m.any() and not v.any()
 
 
 def test_adam_first_step_magnitude_is_lr():
     # with constant gradient g the first update is lr * g / (|g| + eps)
     g = 0.5
-    values = {"w": np.array([3.0])}
-    out, _ = adam_step(values, {"w": np.array([g])}, AdamState.for_values(values), lr=1e-3)
-    delta = values["w"] - out["w"]
+    theta = np.array([3.0])
+    out = theta.copy()
+    adam(out, np.array([g]), lr=1e-3)
+    delta = theta - out
     assert delta[0] == pytest.approx(1e-3 * g / (g + 1e-8), rel=1e-9)
     assert abs(delta[0]) == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_adam_identical_histories_identical_updates(rng):
     g = rng.normal(size=(3,))
-    values = {"a": np.ones(3), "b": np.ones(3)}
-    state = AdamState.for_values(values)
-    for _ in range(5):
-        values, state = adam_step(values, {"a": g, "b": g}, state, lr=0.01)
-    assert np.array_equal(values["a"], values["b"])
+    theta = np.ones(6)  # two tensors "a" and "b" of three entries each
+    adam(theta, np.concatenate([g, g]), lr=0.01, steps=5)
+    assert np.array_equal(theta[:3], theta[3:])
 
 
 def test_adam_shape_mismatch():
-    values = {"w": np.ones((2, 2))}
-    with pytest.raises(Exception, match="shape"):
-        adam_step(values, {"w": np.ones(3)}, AdamState.for_values(values), lr=0.1)
+    # a one-element gradient would otherwise broadcast over theta
+    for shape in [(3,), (1,), (4, 1)]:
+        with pytest.raises(Exception, match="shape"):
+            adam(np.ones(4), np.ones(shape), lr=0.1)
 
 
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def reference_train(x, labels, config):
+    """The trainer with per-tensor Adam on dicts and a new ModelParams
+    each step: the oracle for train()'s flat in-place state."""
+    class_names = tuple(sorted(set(labels)))
+    y = encode_labels(labels, class_names)
+    rng = np.random.default_rng(config.seed)
+    params = mdl.init_params(x.shape[1], class_names, config, rng)
+    values = params.trainable()
+    m = {k: np.zeros_like(a) for k, a in values.items()}
+    v = {k: np.zeros_like(a) for k, a in values.items()}
+    b1, b2, keep = config.adam_beta1, config.adam_beta2, 1.0 - config.dropout_rate
+    history, t = [], 0
+    for _ in range(config.epochs):
+        order, stats = rng.permutation(len(y)), []
+        for start in range(0, len(y), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            masks = None
+            if config.dropout_rate > 0.0:
+                masks = tuple((rng.random((idx.size, h)) < keep) / keep for h in config.hidden_dims)
+            breakdown, grads = losses.loss_and_grads(params, x[idx], y[idx], config, masks)
+            t += 1
+            for k, g in grads.items():
+                m[k] = b1 * m[k] + (1.0 - b1) * g
+                v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+                m_hat, v_hat = m[k] / (1.0 - b1 ** t), v[k] / (1.0 - b2 ** t)
+                values[k] = values[k] - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            params = params.with_values(values)
+            stats.append(breakdown)
+        preds = np.argmax(mdl.class_distances(params, x), axis=1)
+        terms = [float(np.mean([getattr(b, f) for b in stats])) for f in ("ce", "margin", "fisher", "total")]
+        history.append(EpochStats(*terms, accuracy=float(np.mean(preds == y))))
+    return params, history
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(epochs=0),
+        dict(dropout_rate=0.0),
+        dict(dropout_rate=0.3),
+        dict(fisher_weight=0.0, seed=5),
+        dict(batch_size=23),
+        dict(adam_beta1=0.8, lr=3e-3),
+    ],
+    ids=["no-epochs", "no-dropout", "dropout", "no-fisher", "ragged-batches", "beta1"],
+)
+def test_flat_state_matches_per_tensor_adam(overrides):
+    """train() gives the same parameter bytes and history text as the
+    per-tensor reference, on 3 classes in 5 dimensions."""
+    rng = np.random.default_rng(11)
+    data = gaussian_clusters(rng.normal(size=(3, 5)), [40, 30, 20], 0.5, rng, class_names=["a", "b", "c"])
+    cfg = tiny_config(**{"epochs": 3, "batch_size": 16, "dropout_rate": 0.2, "seed": 1, **overrides})
+    params, history = train(data.features, data.labels, cfg)
+    ref_params, ref_history = reference_train(data.features, data.labels, cfg)
+    assert format_history(history) == format_history(ref_history) and history == ref_history
+    for name, arr in ref_params.trainable().items():
+        assert params.trainable()[name].tobytes() == arr.tobytes(), name
 
 
 def test_zero_epochs_returns_initialization_exactly():
