@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import json
 import logging
 import os
 import sys
@@ -55,10 +54,16 @@ def _same_file(a, b) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _refuse_in_place(args, out_flag, in_flags, suffixes=("", ".manifest.json")) -> None:
-    """Raise CliError if a file the command writes, ``--<out_flag>`` plus
-    each of ``suffixes``, is one of the inputs named by ``in_flags``."""
+def _check_outputs(args, out_flag, in_flags, suffixes=("", ".manifest.json")) -> None:
+    """Raise CliError, before any input is read, if the directory of
+    ``--<out_flag>`` is missing or is not a directory, or if a file the
+    command writes, ``--<out_flag>`` plus each of ``suffixes``, is one of
+    the inputs named by ``in_flags``."""
     out = str(getattr(args, out_flag))
+    parent = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(parent):
+        why = "is not a directory" if os.path.exists(parent) else "does not exist"
+        raise CliError(f"--{out_flag} {out}: directory {parent} {why}")
     for suffix in suffixes:
         for flag in in_flags:
             path = getattr(args, flag)
@@ -67,7 +72,7 @@ def _refuse_in_place(args, out_flag, in_flags, suffixes=("", ".manifest.json")) 
                 raise CliError(f"{target} must differ from --{flag}; rpmnet never rewrites an input in place")
 
 
-def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, started, extra=None):
+def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, started, extra):
     manifest = {
         "command": command,
         "config": config.to_dict(),
@@ -77,14 +82,9 @@ def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, sta
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "wall_clock_seconds": time.time() - started,
         "versions": {"package": __version__, "bundle_format": dataio.BUNDLE_FORMAT},
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    dataio.write_json(f"{out_path}.manifest.json", manifest)
 
 
 def _load_train_config(path, seed_override) -> TrainConfig:
@@ -148,7 +148,7 @@ def _score_labelled(bundle, path, roles):
 
 def cmd_train(args) -> int:
     started = time.time()
-    _refuse_in_place(args, "out", ("data", "roles", "config"), ("", ".history.txt", ".manifest.json"))
+    _check_outputs(args, "out", ("data", "roles", "config"), ("", ".history.txt", ".manifest.json"))
     config = _load_train_config(args.config, args.seed)
     roles = dataio.load_roles(args.roles)
     dataset, dropped = dataio.load_csv(args.data, roles.feature_names, roles.label_column)
@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
     )
     dataio.save_bundle(args.out, bundle)
     history_path = str(args.out) + ".history.txt"
-    with open(history_path, "w", encoding="utf-8") as fh:
+    with dataio.atomic_output(history_path) as fh:
         fh.write(format_history(history))
     _write_manifest(
         args.out,
@@ -194,7 +194,7 @@ def cmd_train(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = time.time()
-    _refuse_in_place(args, "out", ("bundle", "data", "roles"))
+    _check_outputs(args, "out", ("bundle", "data", "roles"))
     bundle = dataio.load_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
     _, scores, _, part, extra = _score_labelled(bundle, args.data, roles)
@@ -219,7 +219,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_eval(args) -> int:
     started = time.time()
-    _refuse_in_place(args, "report", ("bundle", "data", "roles"))
+    _check_outputs(args, "report", ("bundle", "data", "roles"))
     bundle = _load_calibrated_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
     labels, scores, predicted, part, extra = _score_labelled(bundle, args.data, roles)
@@ -230,9 +230,7 @@ def cmd_eval(args) -> int:
         bundle.params.class_names, bundle.threshold, scores[known], predicted[known], y, scores[part == 3]
     )
     doc = report.to_dict()
-    with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dataio.write_json(args.report, doc)
     _write_manifest(
         args.report,
         "eval",
@@ -274,26 +272,11 @@ def _write_scored_rows(fh, rows, scored, class_cells) -> None:
         fh.write(f"{line},{class_cells[k]},{score!r},{flag}\r\n")
 
 
-@contextlib.contextmanager
-def _atomic_output(path):
-    """A text file that replaces ``path`` only once the ``with`` body has
-    finished; on any error it is removed and ``path`` stays as it was."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", newline="", encoding="utf-8")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
 def cmd_score(args) -> int:
     """Score ``--data`` block by block (``dataio.BLOCK_ROWS`` records at a
     time), so memory does not grow with the file."""
     started = time.time()
-    _refuse_in_place(args, "out", ("bundle", "data"))
+    _check_outputs(args, "out", ("bundle", "data"))
     bundle = _load_calibrated_bundle(args.bundle)
     rows_scored = dropped = 0
     class_cells = [_csv_line(["", name])[1:] for name in bundle.params.class_names]
@@ -301,7 +284,7 @@ def cmd_score(args) -> int:
         header = next(records)
         # checked before --out is created, so a file with no rows is checked too
         positions = dataio.column_positions(header, bundle.feature_names)
-        with _atomic_output(args.out) as fh:
+        with dataio.atomic_output(args.out) as fh:
             fh.write(_csv_line(header + ["predicted_label", "score", "is_unknown"]) + "\r\n")
             blocks = dataio.iter_feature_blocks(records, positions, len(header))
             for scored, rows, n_dropped in _score_blocks(bundle, blocks):

@@ -25,6 +25,7 @@ import itertools
 import json
 import logging
 import operator
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -57,7 +58,9 @@ __all__ = [
     "save_csv",
     "encode_labels",
     "fit_scaler",
+    "atomic_output",
     "read_json",
+    "write_json",
     "load_roles",
     "preset_roles_path",
     "make_split",
@@ -512,7 +515,7 @@ def _count_lines(path) -> int:
 def save_csv(path, dataset: FlowDataset, label_column: str = "label") -> None:
     """Write a FlowDataset back to CSV; floats keep full precision so a
     reload reproduces the dataset exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_output(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(list(dataset.feature_names) + [label_column])
         for row, label in zip(dataset.features, dataset.labels):
@@ -602,6 +605,33 @@ class ClassRoles:
         if class_name in self.test_unknown:
             return ROLE_TEST_UNKNOWN
         return self.default
+
+
+@contextlib.contextmanager
+def atomic_output(path, binary=False):
+    """A new file, ``<path>.<pid>.tmp`` (UTF-8 text with no newline
+    translation, or bytes), that replaces ``path`` once the ``with`` body
+    has finished.  On any error it is removed and ``path`` stays as it
+    was; an OSError that names no file, or the temp file, names ``path``."""
+    tmp, fh = f"{path}.{os.getpid()}.tmp", None
+    try:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", newline="", encoding="utf-8")
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as e:
+        if fh is not None:  # only a temp file this call created
+            os.remove(tmp)
+        if isinstance(e, OSError) and e.errno and e.filename in (None, tmp) and not isinstance(e, FileExistsError):
+            e.filename = str(path)
+        raise
+
+
+def write_json(path, value) -> None:
+    """Write ``value`` as indented, key-sorted JSON and a newline."""
+    with atomic_output(path) as fh:
+        json.dump(value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_json(path, error):
@@ -729,17 +759,10 @@ class Bundle:
     threshold: Threshold | None = None
 
 
-def _sections_of(bundle: Bundle) -> dict:
-    out = dict(bundle.params.trainable())
-    out["scaler_mean"] = bundle.scaler.mean
-    out["scaler_std"] = bundle.scaler.std
-    return out
-
-
 def save_bundle(path, bundle: Bundle) -> None:
     """Write the bundle: magic, manifest length, JSON manifest, float64
     sections, CRC-32 trailer."""
-    sections = _sections_of(bundle)
+    sections = {**bundle.params.trainable(), "scaler_mean": bundle.scaler.mean, "scaler_std": bundle.scaler.std}
     payload = b""
     entries = []
     for name in sorted(sections):
@@ -764,8 +787,27 @@ def save_bundle(path, bundle: Bundle) -> None:
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = struct.pack("<I", len(manifest_bytes)) + manifest_bytes + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
+    with atomic_output(path, binary=True) as fh:
         fh.write(_MAGIC + body + struct.pack("<I", crc))
+
+
+def _check_shapes(path, manifest, config, arrays) -> None:
+    """Raise BundleError if ``input_dim`` or a section's shape disagrees
+    with the sizes the manifest and its config give."""
+    d, k, e = len(manifest["feature_names"]), len(manifest["class_names"]), manifest["embed_dim"]
+    if manifest["input_dim"] != d:
+        raise BundleError(f"{path}: input_dim {manifest['input_dim']!r} disagrees with {d} feature_names")
+    h1, h2 = config.hidden_dims
+    want = {
+        "W1": (d, h1), "b1": (h1,), "W2": (h1, h2), "b2": (h2,), "W3": (h2, e), "b3": (e,),
+        "points": (k, e), "raw_margins": (k, 1), "scaler_mean": (d,), "scaler_std": (d,),
+    }
+    for name, shape in want.items():
+        if arrays[name].shape != shape:
+            raise BundleError(
+                f"{path}: section {name!r} has shape {list(arrays[name].shape)}, but {d} feature_names, "
+                f"{k} class_names, embed_dim {e!r} and hidden_dims {[h1, h2]} give {list(shape)}"
+            )
 
 
 def load_bundle(path) -> Bundle:
@@ -799,7 +841,11 @@ def load_bundle(path) -> Bundle:
                 entry["shape"]
             ).copy()
 
-        config = TrainConfig.from_dict(manifest["config"])
+        try:
+            config = TrainConfig.from_dict(manifest["config"])
+        except ValueError as e:
+            raise BundleError(f"{path}: stored config is invalid ({e})") from None
+        _check_shapes(path, manifest, config, arrays)
         params = mdl.ModelParams(
             weights=(arrays["W1"], arrays["W2"], arrays["W3"]),
             biases=(arrays["b1"], arrays["b2"], arrays["b3"]),

@@ -1,5 +1,10 @@
+import errno
+import os
+
 import numpy as np
 import pytest
+
+import rpmnet.dataio as dio
 
 
 def finite_difference(f, arrays, h=1e-5):
@@ -37,3 +42,38 @@ def max_rel_err(analytic, numeric, floor=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+
+@pytest.fixture
+def fail_writes(monkeypatch):
+    """``fail_writes(target)`` makes each write to the temp file that
+    ``dio.atomic_output(target)`` opens fail with EFBIG, as a file-size
+    limit or a full disk would, once the file is open.  It returns a check
+    of an error message: ``target`` still holds the bytes it held before,
+    no temp file is left beside it, and the message names ``target``, not
+    its temp file."""
+    real_open = open
+
+    def efbig(data):
+        raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+    def install(target):
+        tmp, before = f"{target}.{os.getpid()}.tmp", target.read_bytes()
+
+        def failing_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if str(file) == tmp:
+                fh.write = efbig
+            return fh
+
+        def check(message):
+            assert target.read_bytes() == before
+            assert not list(target.parent.glob("*.tmp"))
+            assert f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{target}'" in message
+            assert ".tmp" not in message
+
+        monkeypatch.setattr(dio, "open", failing_open, raising=False)
+        return check
+
+    return install

@@ -1,9 +1,15 @@
 import csv
+import errno
 import io
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -891,3 +897,86 @@ def test_unsw_nb15_with_every_column_names_the_first_drop(tmp_path, capsys, capl
         f"{data}: dropped 64 rows with missing or non-finite features",
         f"{data}: line 2: column 'proto' holds 'tcp', which is not a number",
     ]
+
+
+# ---------------------------------------------------------------------------
+# outputs: checked before any input is read, and never left half-written
+
+
+OUT_FLAG = {"train": "out", "calibrate": "out", "eval": "report", "score": "out"}
+
+
+def _argv(command, inputs, out):
+    flags = [a for flag, path in inputs.items() for a in (f"--{flag}", path)]
+    return [command, *flags, f"--{OUT_FLAG[command]}", str(out)]
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "eval", "score"])
+@pytest.mark.parametrize("parent, why", [("missing", "does not exist"), ("flows.csv", "is not a directory")])
+def test_output_directory_is_checked_before_any_input_is_read(workspace, capsys, command, parent, why):
+    """No input exists, so the error shows that none was read first."""
+    inputs = {flag: str(workspace["dir"] / f"absent.{flag}") for flag in COMMAND_INPUTS[command]}
+    out_dir = workspace["dir"] / parent
+    assert main(_argv(command, inputs, out_dir / "result")) == 1
+    assert capsys.readouterr().err == f"error: --{OUT_FLAG[command]} {out_dir / 'result'}: directory {out_dir} {why}\n"
+
+
+@pytest.mark.parametrize(
+    "command, suffix",
+    [
+        ("train", ""),
+        ("train", ".history.txt"),
+        ("train", ".manifest.json"),
+        ("calibrate", ""),
+        ("calibrate", ".manifest.json"),
+        ("eval", ""),
+        ("eval", ".manifest.json"),
+        ("score", ""),
+        ("score", ".manifest.json"),
+    ],
+)
+def test_failed_write_keeps_the_previous_file(workspace, capsys, fail_writes, command, suffix):
+    """A write that fails once its temp file is open (the bundle, the
+    history, the report, the scored CSV or a manifest) gives rc 1 naming
+    that file, leaves its previous bytes, and leaves no temp file."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    inputs = {flag: workspace[key] for flag, key in COMMAND_INPUTS[command].items()}
+    out = workspace["dir"] / "result"
+    target = workspace["dir"] / f"result{suffix}"
+    target.write_bytes(b"previous output\n")
+    kept = fail_writes(target)
+    assert main(_argv(command, inputs, out)) == 1
+    kept(capsys.readouterr().err)
+
+
+def test_train_past_a_file_size_limit_keeps_the_previous_bundle(workspace):
+    """A child ``rpmnet train`` whose bundle write passes RLIMIT_FSIZE
+    (SIGXFSZ ignored, so the write fails with EFBIG) exits 1 naming the
+    bundle and leaves the previous bundle (of another seed) byte-identical
+    and loadable."""
+    resource = pytest.importorskip("resource")
+    assert run_train(workspace) == 0
+    bundle = workspace["dir"] / "model.bundle"
+    before = bundle.read_bytes()
+    limit = len(before) // 2
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["train", "--data", workspace["data"], "--roles", workspace["roles"], "--config", workspace["config"],
+            "--out", str(bundle), "--seed", "6"]
+    child = subprocess.run(
+        [sys.executable, "-m", "rpmnet.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        preexec_fn=limit_file_size,
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 1, child.stderr
+    assert child.stderr == f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{bundle}'\n"
+    assert bundle.read_bytes() == before
+    assert not list(workspace["dir"].glob("*.tmp"))
+    dio.load_bundle(bundle)

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import struct
 import tracemalloc
 import zlib
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import rpmnet.dataio as dio
 import rpmnet.model as mdl
 import rpmnet.openset as osr
+from rpmnet.cli import main
 from rpmnet.config import TrainConfig
 
 
@@ -980,3 +983,102 @@ def test_bundle_malformed_manifest_names_missing_key(tmp_path, key):
     rewrite_manifest(path, edit)
     with pytest.raises(dio.BundleError, match=f"missing '{key}'"):
         dio.load_bundle(path)
+
+
+def test_bundle_with_an_invalid_config_names_the_bundle(tmp_path):
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    rewrite_manifest(path, lambda m: m["config"].update(bogus=1))
+    with pytest.raises(dio.BundleError) as info:
+        dio.load_bundle(path)
+    assert str(info.value) == f"{path}: stored config is invalid (unknown config keys: bogus)"
+
+
+def _drop_last_feature(m):
+    m["feature_names"].pop()
+    m["input_dim"] -= 1
+
+
+# tiny_bundle: 4 features, 2 classes, hidden_dims (6, 5), embed_dim 3
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["feature_names"].pop(), "input_dim 4 disagrees with 3 feature_names"),
+        (_drop_last_feature, "section 'W1' has shape [4, 6], but 3 feature_names, 2 class_names, "
+         "embed_dim 3 and hidden_dims [6, 5] give [3, 6]"),
+        (lambda m: m["class_names"].append("gamma"), "section 'points' has shape [2, 3], but 4 feature_names, "
+         "3 class_names, embed_dim 3 and hidden_dims [6, 5] give [3, 3]"),
+        (lambda m: m.update(embed_dim=4), "section 'W3' has shape [5, 3], but 4 feature_names, 2 class_names, "
+         "embed_dim 4 and hidden_dims [6, 5] give [5, 4]"),
+        (lambda m: m["config"].update(hidden_dims=[6, 4]), "section 'W2' has shape [6, 5], but 4 feature_names, "
+         "2 class_names, embed_dim 3 and hidden_dims [6, 4] give [6, 4]"),
+        (
+            lambda m: next(e for e in m["sections"] if e["name"] == "scaler_std").update(shape=[2, 2]),
+            "section 'scaler_std' has shape [2, 2], but 4 feature_names, 2 class_names, "
+            "embed_dim 3 and hidden_dims [6, 5] give [4]",
+        ),
+    ],
+)
+def test_bundle_shape_disagreement_names_the_bundle(tmp_path, edit, message):
+    """A bundle whose CRC is valid but whose sections do not fit its
+    feature names, class names, dims or config is a BundleError naming
+    it, not a broadcast error when it is first used."""
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    rewrite_manifest(path, edit)
+    with pytest.raises(dio.BundleError) as info:
+        dio.load_bundle(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_score_with_a_bundle_one_feature_short_names_the_bundle(tmp_path, capsys):
+    thr = osr.Threshold(tau=0.5, calibration_method="max-unknown-f1", calibration_stats={})
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle(threshold=thr))
+    rewrite_manifest(path, lambda m: m["feature_names"].pop())
+    data = write(tmp_path / "flows.csv", "f0,f1,f2,f3\n1,2,3,4\n")
+    assert main(["score", "--bundle", str(path), "--data", data, "--out", str(tmp_path / "scored.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: input_dim 4 disagrees with 3 feature_names\n"
+    assert not (tmp_path / "scored.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the one writer of every output
+
+
+def test_save_bundle_failed_write_keeps_the_previous_bundle(tmp_path, fail_writes):
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    kept = fail_writes(path)
+    threshold = osr.Threshold(tau=1.0, calibration_method="max-unknown-f1", calibration_stats={})
+    with pytest.raises(OSError) as info:
+        dio.save_bundle(path, tiny_bundle(threshold=threshold))
+    kept(str(info.value))
+
+
+def test_save_csv_failed_write_keeps_the_previous_file(tmp_path, fail_writes):
+    ds = dio.FlowDataset(features=np.ones((3, 2)), labels=("x", "y", "x"), feature_names=("a", "b"))
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"previous\n")
+    kept = fail_writes(path)
+    with pytest.raises(OSError) as info:
+        dio.save_csv(path, ds)
+    kept(str(info.value))
+
+
+def test_atomic_output_error_names_the_target_not_the_temp_file(tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileNotFoundError) as info:
+        dio.write_json(target, {})
+    assert str(info.value) == f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: '{target}'"
+
+
+def test_atomic_output_replaces_a_symlink_with_a_regular_file(tmp_path):
+    """The link itself is replaced; the file it pointed to is untouched."""
+    pointee, link = tmp_path / "pointee.json", tmp_path / "link.json"
+    pointee.write_bytes(b"previous\n")
+    link.symlink_to(pointee)
+    dio.write_json(link, {"b": 1, "a": [2]})
+    assert not link.is_symlink()
+    assert link.read_bytes() == b'{\n  "a": [\n    2\n  ],\n  "b": 1\n}\n'
+    assert pointee.read_bytes() == b"previous\n"
