@@ -348,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("RPMNET_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("RPMNET_LOG") or "warning"
+        if level.lower() not in ("debug", "info", "warning", "error", "critical"):
+            raise CliError(f"RPMNET_LOG={level!r} is not a log level; use debug, info, warning, error or critical")
+        logging.basicConfig(level=level.upper())
         return args.func(args)
     except (
         CliError,

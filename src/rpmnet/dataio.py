@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import logging
+import math
 import operator
 import os
 import struct
@@ -146,22 +147,6 @@ def _encoding_error(path) -> SchemaError:
     return SchemaError(f"{path}: not UTF-8; re-encode the file as UTF-8")
 
 
-def _first_error(path) -> SchemaError:
-    """The error :func:`read_csv_rows` raises on a file with a byte that
-    is not UTF-8: a line ``csv`` cannot parse before that byte, or else
-    the byte.  The block reader decodes a whole block before it checks
-    its lines, so it asks this once it meets such a byte."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            collections.deque(reader, maxlen=0)
-        except csv.Error as e:
-            return SchemaError(f"{path}: line {reader.line_num}: {e}")
-        except UnicodeDecodeError:
-            pass
-    return _encoding_error(path)
-
-
 def read_csv_rows(path):
     """Header (stripped) and every non-blank row of a CSV file
     (RFC-4180 style, UTF-8; a leading byte-order mark is skipped), each
@@ -259,36 +244,50 @@ def iter_records(path):
     continuation lines of a quoted cell, also past the block's last line.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        line_num = 0  # physical lines before the current block
+        line_num, after = 0, fh  # physical lines before the current block; what a record runs on into
 
         def cells(lines, k):
-            """The record ``csv`` reads from ``lines[k]`` on, and the index
-            in ``lines`` of the line after it."""
-            reader = csv.reader(itertools.chain(itertools.islice(lines, k, None), fh))
+            """The record ``csv`` reads from ``lines[k]`` on, and the index in ``lines`` of the line after it."""
+            reader = csv.reader(itertools.chain(itertools.islice(lines, k, None), after))
             try:
                 row = next(reader)
             except csv.Error as e:
                 raise SchemaError(f"{path}: line {line_num + k + reader.line_num}: {e}") from None
             return row, k + reader.line_num
 
+        def records_of(lines):
+            """The records of a block of lines, and the index of the first line no record has taken."""
+            blank, flagged = _check_lines(lines, commas, limit)
+            records, start = [], 0
+            for k in np.flatnonzero(blank | flagged).tolist():
+                if k >= start:  # else a continuation line of the record before
+                    records += lines[start:k]
+                    start = k + 1  # past a blank line
+                    if flagged[k]:
+                        row, start = cells(lines, k)
+                        records.append(row)
+            return records + lines[start:], start
+
         def next_block():
             """The next block holding a record, or None at the end of the file."""
-            nonlocal line_num
-            while lines := list(itertools.islice(fh, BLOCK_ROWS)):
-                blank, flagged = _check_lines(lines, commas, limit)
-                records, start = [], 0  # start: the first line no record has taken
-                for k in np.flatnonzero(blank | flagged).tolist():
-                    if k >= start:  # else a continuation line of the record before
-                        records += lines[start:k]
-                        start = k + 1  # past a blank line
-                        if flagged[k]:
-                            row, start = cells(lines, k)
-                            records.append(row)
-                records += lines[start:]
+            nonlocal line_num, after
+            while True:
+                lines = []
+                try:
+                    lines.extend(itertools.islice(fh, BLOCK_ROWS))
+                except UnicodeDecodeError:
+                    # fh dropped the chunk it could not decode, so it is not read again; a
+                    # line csv cannot parse before that chunk comes first, as in read_csv_rows
+                    after = ()
+                    if lines:
+                        records_of(lines)
+                    raise
+                if not lines:
+                    return None
+                records, start = records_of(lines)
                 line_num += max(len(lines), start)
                 if records:
                     return records
-            return None
 
         try:
             first = next(fh, None)
@@ -301,7 +300,7 @@ def iter_records(path):
             # through a call, so no frame holds a block while the next is read
             yield from iter(next_block, None)
         except UnicodeDecodeError:
-            raise _first_error(path) from None
+            raise _encoding_error(path) from None
 
 
 def _parse_block(records, positions, width):
@@ -555,12 +554,32 @@ class Scaler:
         return np.divide(z, self.std, out=z)
 
 
+def _column_sum(x, rows_of):
+    """``np.add.reduce(rows_of(x), axis=0)``, taken over ``BLOCK_ROWS``-row
+    blocks of ``x`` with the running sum stacked on each block as its
+    first row: the rows are added in the same order, one after another."""
+    total = None
+    for start in range(0, x.shape[0], BLOCK_ROWS):
+        rows = rows_of(x[start : start + BLOCK_ROWS])
+        total = np.add.reduce(rows if total is None else np.vstack((total, rows)), axis=0)
+    return total
+
+
 def fit_scaler(features: np.ndarray) -> Scaler:
+    """The mean and population std of each column, with the bits of
+    ``x.mean(axis=0)`` and ``x.std(axis=0)`` but no temporary the size of
+    ``x``: numpy sums the rows of a C-ordered matrix of two columns or
+    more one after another, as :func:`_column_sum` does block by block.
+    It sums a single column pairwise, so that one is left to numpy."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("fit_scaler needs a non-empty 2-D feature matrix")
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    n = x.shape[0]
+    if x.shape[1] < 2:
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    else:
+        mean = _column_sum(x, lambda rows: rows) / n
+        std = np.sqrt(_column_sum(x, lambda rows: np.square(rows - mean)) / n)
     std = np.where(std < 1e-12, 1.0, std)
     return Scaler(mean=mean, std=std)
 
@@ -810,6 +829,24 @@ def _check_shapes(path, manifest, config, arrays) -> None:
             )
 
 
+def _check_layout(path, sections, size) -> None:
+    """Raise BundleError unless the sections tile the payload of ``size``
+    bytes in manifest order, from offset 0 to its end, as
+    :func:`save_bundle` writes them."""
+    end = 0
+    for entry in sections:
+        if entry["offset"] != end:
+            raise BundleError(
+                f"{path}: section {entry['name']!r} starts at payload byte {entry['offset']}, not {end}; "
+                "the sections must tile the payload in order"
+            )
+        end += entry["nbytes"]
+    if end != size:
+        raise BundleError(
+            f"{path}: section {entry['name']!r} ends at payload byte {end}, but the payload has {size} bytes"
+        )
+
+
 def load_bundle(path) -> Bundle:
     """Byte-exact inverse of :func:`save_bundle`."""
     with open(path, "rb") as fh:
@@ -834,18 +871,21 @@ def load_bundle(path) -> Bundle:
     try:
         arrays = {}
         for entry in manifest["sections"]:
-            start, n = entry["offset"], entry["nbytes"]
+            name, start, n, shape = entry["name"], entry["offset"], entry["nbytes"], entry["shape"]
+            if n != 8 * math.prod(shape):
+                raise BundleError(
+                    f"{path}: section {name!r} holds {n} bytes, but its shape {shape} needs {8 * math.prod(shape)}"
+                )
             if start + n > len(payload):
-                raise BundleIntegrityError(f"{path}: section {entry['name']!r} exceeds payload")
-            arrays[entry["name"]] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(
-                entry["shape"]
-            ).copy()
+                raise BundleIntegrityError(f"{path}: section {name!r} exceeds payload")
+            arrays[name] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(shape).copy()
 
         try:
             config = TrainConfig.from_dict(manifest["config"])
         except ValueError as e:
             raise BundleError(f"{path}: stored config is invalid ({e})") from None
         _check_shapes(path, manifest, config, arrays)
+        _check_layout(path, manifest["sections"], len(payload))
         params = mdl.ModelParams(
             weights=(arrays["W1"], arrays["W2"], arrays["W3"]),
             biases=(arrays["b1"], arrays["b2"], arrays["b3"]),

@@ -45,18 +45,30 @@ class EpochStats:
     accuracy: float
 
 
+# elements of the flat parameter vector that adam_step updates at once, so
+# each of its temporaries is 64 KB.  Whole-vector temporaries (about ten of
+# 494 KB a step with the default dims) made glibc's malloc map or trim
+# memory at every step unless an earlier, larger free had raised its
+# thresholds: 8 times the page faults and about 0.3 s more on a 4000-row,
+# 8-epoch train (2 vCPUs)
+_ADAM_BLOCK = 8192
+
+
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, config: TrainConfig):
     """One bias-corrected Adam update of the flat parameter vector
     ``theta`` and its moments ``m`` and ``v``, all in place; ``t`` counts
-    steps from 1."""
+    steps from 1.  Each element goes through the same operations,
+    ``_ADAM_BLOCK`` elements at a time."""
     if grad.shape != theta.shape:  # a broadcast gradient would pass silently
         raise ad.ShapeError(f"adam_step: gradient shape {grad.shape} != parameter shape {theta.shape}")
     b1, b2 = config.adam_beta1, config.adam_beta2
-    m *= b1
-    m += (1.0 - b1) * grad
-    v *= b2
-    v += (1.0 - b2) * (grad * grad)
-    theta -= config.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + config.adam_eps)
+    for start in range(0, theta.size, _ADAM_BLOCK):
+        p, g, mb, vb = (a[start : start + _ADAM_BLOCK] for a in (theta, grad, m, v))
+        mb *= b1
+        mb += (1.0 - b1) * g
+        vb *= b2
+        vb += (1.0 - b2) * (g * g)
+        p -= config.lr * (mb / (1.0 - b1 ** t)) / (np.sqrt(vb / (1.0 - b2 ** t)) + config.adam_eps)
 
 
 def _dropout_masks(rng: np.random.Generator, n: int, hidden_dims, rate: float):

@@ -492,9 +492,11 @@ def test_calibrate_and_eval_memory_stays_below_the_matrix(tmp_path):
 def test_train_compacts_the_known_rows_in_place(tmp_path, monkeypatch):
     """train moves the known-train rows to the front of the loaded matrix
     in place: on a file of 16 blocks of 256 rows and 40 features, with a
-    tiny config, its traced peak stays within 1.6x the file's float64
-    matrix (about 1.4x; copying the rows out next to the loaded matrix
-    took about 1.75x), and the scaler is fit on exactly those rows."""
+    tiny config, its traced peak stays within 1.4x the file's float64
+    matrix (about 1.38x, set while the file loads; fitting the scaler
+    with a temporary the size of those rows took about 1.42x, and copying
+    the rows out next to the loaded matrix about 1.75x), and the scaler is
+    fit on exactly those rows."""
     monkeypatch.setattr(dio, "BLOCK_ROWS", 256)
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16 * dio.BLOCK_ROWS, 40))
@@ -514,7 +516,7 @@ def test_train_compacts_the_known_rows_in_place(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * x.nbytes, peak / x.nbytes
+    assert peak <= 1.4 * x.nbytes, peak / x.nbytes
     keep = dio.make_split(labels, dio.load_roles(roles), seed=0) == 0
     assert dio.load_bundle(bundle).scaler.mean.tobytes() == x[keep].mean(axis=0).tobytes()
 
@@ -919,6 +921,24 @@ def test_output_directory_is_checked_before_any_input_is_read(workspace, capsys,
     out_dir = workspace["dir"] / parent
     assert main(_argv(command, inputs, out_dir / "result")) == 1
     assert capsys.readouterr().err == f"error: --{OUT_FLAG[command]} {out_dir / 'result'}: directory {out_dir} {why}\n"
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+@pytest.mark.parametrize("value", ["verbose", "basic_format", "Root"])
+def test_an_unknown_log_level_stops_the_command_before_any_input_is_read(
+    workspace, capsys, monkeypatch, command, value
+):
+    """RPMNET_LOG names one of five levels; any other value, also a name
+    the logging module holds that is no level, is an error, not a silent
+    warning level or a traceback.  No input exists, so none was read."""
+    monkeypatch.setenv("RPMNET_LOG", value)
+    inputs = {flag: str(workspace["dir"] / f"absent.{flag}") for flag in COMMAND_INPUTS[command]}
+    out = workspace["dir"] / "result"
+    assert main(_argv(command, inputs, out)) == 1
+    assert capsys.readouterr().err == (
+        f"error: RPMNET_LOG={value!r} is not a log level; use debug, info, warning, error or critical\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rpmnet.dataio as dio
@@ -622,6 +622,101 @@ def test_a_csv_error_before_a_bad_byte_in_one_block_wins(tmp_path):
     assert expected == (dio.SchemaError, f"{path}: line 3: field larger than field limit (16)")
 
 
+def wide_lines(rows):
+    """Header and rows, as bytes, of a CSV file of 64 features and a label,
+    about 830 bytes a row, so that even 7-line blocks span 8 KB decoder
+    chunks; under csv's default field size limit no line is flagged."""
+    header = ",".join(f"f{j}" for j in range(64)) + ",label"
+    return [header.encode()] + [(",".join(f"{i}.{j:03d}456789" for j in range(64)) + ",Benign").encode()
+                                for i in range(rows)]
+
+
+def decoded_line_count(path):
+    """The lines a text reader of ``path`` yields before the chunk that it
+    cannot decode."""
+    n = 0
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        with pytest.raises(UnicodeDecodeError):
+            for _ in fh:
+                n += 1
+    return n
+
+
+@pytest.mark.parametrize("block_rows", [7, 64, 1024])
+def test_a_bad_byte_is_reported_from_the_block_being_read(tmp_path, monkeypatch, block_rows):
+    """A cp1252 dash in the third block of a file with no flagged line is
+    the reference's error, and the reader builds one csv.reader, the
+    header's: no line is read through csv a second time."""
+    lines = wide_lines(3 * block_rows)
+    bad = 2 * block_rows + block_rows // 2 + 1  # the middle of the third block
+    lines[bad] = lines[bad].replace(b"Benign", b"Web Attack \x96 Brute Force")
+    path = tmp_path / "cp1252.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    expected = outcome(reference_load_csv, str(path), None)
+    assert expected[1].startswith(f"{path}: line {bad + 1}: byte 0x96 at byte offset ")
+    built, reader = [], csv.reader
+
+    def counting_reader(*args, **kwargs):
+        built.append(args)
+        return reader(*args, **kwargs)
+
+    monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(dio.csv, "reader", counting_reader)
+    assert outcome(streamed_load_csv, str(path), None) == expected
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("block_rows", [7, 64, 1024])
+def test_a_bad_byte_wins_over_a_long_cell_in_its_chunk(tmp_path, monkeypatch, block_rows):
+    """A cell over csv's field size limit on the line before a cp1252
+    dash, both in the 8 KB chunk that does not decode, is never read: the
+    error is the byte's, as it is for the reference."""
+    lines = wide_lines(40)
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    long = int(np.searchsorted(ends, 3 * 8192 + 50)) + 1  # the first line to start past 3 chunks and 50 bytes
+    lines[long] = lines[long].replace(b"Benign", b"x" * 40)
+    lines[long + 1] = lines[long + 1].replace(b"Benign", b"\x96")
+    path = tmp_path / "both.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert decoded_line_count(path) <= long
+    old_limit = csv.field_size_limit(16)
+    try:
+        expected = outcome(reference_load_csv, str(path), None)
+        monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+        assert outcome(streamed_load_csv, str(path), None) == expected
+    finally:
+        csv.field_size_limit(old_limit)
+    assert expected[1].startswith(f"{path}: line {long + 2}: byte 0x96 at byte offset ")
+
+
+@pytest.mark.parametrize("block_rows", [7, 64, 1024])
+def test_a_quoted_record_into_a_bad_chunk_is_the_byte_error(tmp_path, monkeypatch, block_rows):
+    """A quoted label that opens on the last line the decoder yields and
+    closes after the chunk it cannot decode is the byte's error, not a
+    record stitched from text read past that chunk, whose label would be
+    over csv's field size limit."""
+    lines = wide_lines(40)
+    bad = 30
+    lines[bad] = lines[bad].replace(b"Benign", b"Benig\x96")
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    last = decoded_line_count(path) - 1
+    assert 0 < last < bad
+    # the same byte lengths, so the decoder stops at the same line
+    lines[last] = lines[last].replace(b"Benign", b'"enign')
+    lines[bad + 3] = lines[bad + 3].replace(b"Benign", b'Benig"')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert decoded_line_count(path) == last + 1
+    old_limit = csv.field_size_limit(100)
+    try:
+        expected = outcome(reference_load_csv, str(path), None)
+        monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+        assert outcome(streamed_load_csv, str(path), None) == expected
+    finally:
+        csv.field_size_limit(old_limit)
+    assert expected[1].startswith(f"{path}: line {bad + 1}: byte 0x96 at byte offset ")
+
+
 @pytest.mark.parametrize(
     "text, cause",
     [
@@ -680,6 +775,26 @@ def test_scaler_transforms_in_place_with_the_same_bits(rng):
     assert x.tobytes() == expected.tobytes()
     ints = np.arange(12).reshape(3, 4)
     assert scaler.transform(ints).tobytes() == scaler.transform(ints.astype(np.float64)).tobytes()
+
+
+@given(st.integers(1, 3000), st.integers(2, 24), st.sampled_from([1, 7, 64, 1024]), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(2000, 1, 64, 0)  # one column, which numpy sums pairwise: left to numpy
+def test_blocked_scaler_has_the_bits_of_numpy(n, d, block_rows, seed):
+    """fit_scaler sums over BLOCK_ROWS-row blocks, carrying the running sum
+    into each block's np.add.reduce; on heavy-tailed data its mean and std
+    are x.mean(axis=0) and x.std(axis=0) bit for bit, for every shape and
+    block size, so bundles keep their bytes."""
+    x = np.random.default_rng(seed).standard_cauchy((n, d)) * 1e3
+    default = dio.BLOCK_ROWS
+    try:
+        dio.BLOCK_ROWS = block_rows
+        scaler = dio.fit_scaler(x)
+    finally:
+        dio.BLOCK_ROWS = default
+    std = x.std(axis=0)
+    assert scaler.mean.tobytes() == x.mean(axis=0).tobytes(), (n, d, block_rows)
+    assert scaler.std.tobytes() == np.where(std < 1e-12, 1.0, std).tobytes(), (n, d, block_rows)
 
 
 def test_scaler_two_point_feature():
@@ -1023,6 +1138,36 @@ def test_bundle_shape_disagreement_names_the_bundle(tmp_path, edit, message):
     """A bundle whose CRC is valid but whose sections do not fit its
     feature names, class names, dims or config is a BundleError naming
     it, not a broadcast error when it is first used."""
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    rewrite_manifest(path, edit)
+    with pytest.raises(dio.BundleError) as info:
+        dio.load_bundle(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def _section(name, **fields):
+    return lambda m: next(e for e in m["sections"] if e["name"] == name).update(fields)
+
+
+# tiny_bundle's payload: ten sections in name order, 792 bytes, scaler_mean
+# at byte 728 and scaler_std at byte 760
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_section("scaler_std", shape=[5]), "section 'scaler_std' holds 32 bytes, but its shape [5] needs 40"),
+        (_section("scaler_std", offset=728), "section 'scaler_std' starts at payload byte 728, not 760; "
+         "the sections must tile the payload in order"),
+        (_section("W1", offset=8), "section 'W1' starts at payload byte 8, not 0; "
+         "the sections must tile the payload in order"),
+    ],
+    ids=["nbytes short of the shape", "std read from the mean's bytes", "a gap before the first section"],
+)
+def test_bundle_section_layout_names_the_bundle_and_section(tmp_path, edit, message):
+    """A CRC-valid bundle whose section bytes do not fit its shape, or
+    whose sections do not tile the payload in order, is a BundleError
+    naming it and the section, not a bare reshape error or a scaler whose
+    std is its mean."""
     path = tmp_path / "m.bundle"
     dio.save_bundle(path, tiny_bundle())
     rewrite_manifest(path, edit)

@@ -7,6 +7,7 @@ from rpmnet.config import TrainConfig
 from rpmnet.dataio import encode_labels
 from rpmnet.synthetic import gaussian_clusters
 from rpmnet.train import (
+    _ADAM_BLOCK,
     EpochStats,
     TrainingDivergedError,
     adam_step,
@@ -117,6 +118,25 @@ def test_adam_identical_histories_identical_updates(rng):
     theta = np.ones(6)  # two tensors "a" and "b" of three entries each
     adam(theta, np.concatenate([g, g]), lr=0.01, steps=5)
     assert np.array_equal(theta[:3], theta[3:])
+
+
+def test_adam_in_blocks_has_the_bits_of_the_whole_vector_update(rng):
+    """adam_step works through the vector a block at a time; each element,
+    also across block edges, gets the bits of the whole-vector update."""
+    n = 2 * _ADAM_BLOCK + 5
+    theta, m, v = rng.normal(size=n), np.zeros(n), np.zeros(n)
+    ref, ref_m, ref_v = theta.copy(), m.copy(), v.copy()
+    config = TrainConfig(lr=0.01)
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for t in range(1, 4):
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        adam_step(theta, g, m, v, t, config)
+        ref_m *= b1
+        ref_m += (1.0 - b1) * g
+        ref_v *= b2
+        ref_v += (1.0 - b2) * (g * g)
+        ref -= config.lr * (ref_m / (1.0 - b1 ** t)) / (np.sqrt(ref_v / (1.0 - b2 ** t)) + config.adam_eps)
+    assert (theta.tobytes(), m.tobytes(), v.tobytes()) == (ref.tobytes(), ref_m.tobytes(), ref_v.tobytes())
 
 
 def test_adam_shape_mismatch():
