@@ -2,8 +2,9 @@
 
 Every command writes exactly one JSON run manifest next to its main
 output (command, effective config, seed, input checksums, output paths,
-wall clock).  Outputs other than the manifest are byte-deterministic
-for identical inputs and seed.
+wall clock), and :func:`main` commits it with the command's other
+outputs as one group, the manifest last.  Outputs other than the
+manifest are byte-deterministic for identical inputs and seed.
 """
 from __future__ import annotations
 
@@ -54,27 +55,29 @@ def _same_file(a, b) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _check_outputs(args, out_flag, in_flags, suffixes=("", ".manifest.json")) -> None:
+def _check_outputs(args) -> None:
     """Raise CliError, before any input is read, if the directory of
     ``--<out_flag>`` is missing or is not a directory, or if a file the
-    command writes, ``--<out_flag>`` plus each of ``suffixes``, is one of
-    the inputs named by ``in_flags``."""
-    out = str(getattr(args, out_flag))
+    command writes (``--<out_flag>`` alone or plus one of ``suffixes`` or
+    ``.manifest.json``) is an input named by one of its ``in_flags``."""
+    out = str(getattr(args, args.out_flag))
     parent = os.path.dirname(out) or os.curdir
     if not os.path.isdir(parent):
         why = "is not a directory" if os.path.exists(parent) else "does not exist"
-        raise CliError(f"--{out_flag} {out}: directory {parent} {why}")
-    for suffix in suffixes:
-        for flag in in_flags:
+        raise CliError(f"--{args.out_flag} {out}: directory {parent} {why}")
+    for suffix in ("", *args.suffixes, ".manifest.json"):
+        for flag in args.in_flags:
             path = getattr(args, flag)
             if path is not None and _same_file(out + suffix, path):
-                target = f"--{out_flag}" + (f" + {suffix!r}" if suffix else "")
+                target = f"--{args.out_flag}" + (f" + {suffix!r}" if suffix else "")
                 raise CliError(f"{target} must differ from --{flag}; rpmnet never rewrites an input in place")
 
 
-def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, started, extra):
+def _write_manifest(open_output, args, config: TrainConfig, outputs, started, extra):
+    # the --config file is recorded by its effective values, under "config"
+    inputs = {flag: getattr(args, flag) for flag in args.in_flags if flag != "config"}
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config.to_dict(),
         "seed": config.seed,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
@@ -84,7 +87,7 @@ def _write_manifest(out_path, command, config: TrainConfig, inputs, outputs, sta
         "versions": {"package": __version__, "bundle_format": dataio.BUNDLE_FORMAT},
         **extra,
     }
-    dataio.write_json(f"{out_path}.manifest.json", manifest)
+    dataio.write_json(f"{getattr(args, args.out_flag)}.manifest.json", manifest, open_output)
 
 
 def _load_train_config(path, seed_override) -> TrainConfig:
@@ -143,12 +146,12 @@ def _score_labelled(bundle, path, roles):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its outputs through ``open_output``, the opener of
+# the group :func:`main` commits, and returns the config, the outputs and
+# the extra keys for the manifest, and the summary to print after the commit
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    _check_outputs(args, "out", ("data", "roles", "config"), ("", ".history.txt", ".manifest.json"))
+def cmd_train(args, open_output):
     config = _load_train_config(args.config, args.seed)
     roles = dataio.load_roles(args.roles)
     dataset, dropped = dataio.load_csv(args.data, roles.feature_names, roles.label_column)
@@ -173,28 +176,18 @@ def cmd_train(args) -> int:
         label_column=roles.label_column,
         threshold=None,
     )
-    dataio.save_bundle(args.out, bundle)
+    dataio.save_bundle(args.out, bundle, open_output)
     history_path = str(args.out) + ".history.txt"
-    with dataio.atomic_output(history_path) as fh:
+    with open_output(history_path) as fh:
         fh.write(format_history(history))
-    _write_manifest(
-        args.out,
-        "train",
-        config,
-        {"data": args.data, "roles": args.roles},
-        {"bundle": args.out, "history": history_path},
-        started,
-        extra={"dropped_rows": dropped, "train_samples": len(labels)},
-    )
     final = history[-1].accuracy if history else float("nan")
-    print(f"trained {len(labels)} samples, {config.epochs} epochs, final train acc {final:.4f}")
-    print(f"bundle written to {args.out}")
-    return 0
+    summary = (f"trained {len(labels)} samples, {config.epochs} epochs, final train acc {final:.4f}\n"
+               f"bundle written to {args.out}")
+    outputs = {"bundle": args.out, "history": history_path}
+    return config, outputs, {"dropped_rows": dropped, "train_samples": len(labels)}, summary
 
 
-def cmd_calibrate(args) -> int:
-    started = time.time()
-    _check_outputs(args, "out", ("bundle", "data", "roles"))
+def cmd_calibrate(args, open_output):
     bundle = dataio.load_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
     _, scores, _, part, extra = _score_labelled(bundle, args.data, roles)
@@ -202,24 +195,13 @@ def cmd_calibrate(args) -> int:
     _require_samples((part == 2).any(), dataio.ROLE_VALIDATION_UNKNOWN, args)
     threshold = osr.calibrate(scores[part == 0], scores[part == 2])
     superseded = bundle.threshold.tau if bundle.threshold is not None else None
-    dataio.save_bundle(args.out, replace(bundle, threshold=threshold))
-    _write_manifest(
-        args.out,
-        "calibrate",
-        bundle.config,
-        {"bundle": args.bundle, "data": args.data, "roles": args.roles},
-        {"bundle": args.out},
-        started,
-        extra={"tau": threshold.tau, "superseded_tau": superseded, **extra},
-    )
-    print(f"tau = {threshold.tau!r} (validation unknown-F1 {threshold.calibration_stats['f1']:.4f})")
-    print(f"calibrated bundle written to {args.out}")
-    return 0
+    dataio.save_bundle(args.out, replace(bundle, threshold=threshold), open_output)
+    summary = (f"tau = {threshold.tau!r} (validation unknown-F1 {threshold.calibration_stats['f1']:.4f})\n"
+               f"calibrated bundle written to {args.out}")
+    return bundle.config, {"bundle": args.out}, {"tau": threshold.tau, "superseded_tau": superseded, **extra}, summary
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    _check_outputs(args, "report", ("bundle", "data", "roles"))
+def cmd_eval(args, open_output):
     bundle = _load_calibrated_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
     labels, scores, predicted, part, extra = _score_labelled(bundle, args.data, roles)
@@ -230,20 +212,10 @@ def cmd_eval(args) -> int:
         bundle.params.class_names, bundle.threshold, scores[known], predicted[known], y, scores[part == 3]
     )
     doc = report.to_dict()
-    dataio.write_json(args.report, doc)
-    _write_manifest(
-        args.report,
-        "eval",
-        bundle.config,
-        {"bundle": args.bundle, "data": args.data, "roles": args.roles},
-        {"report": args.report},
-        started,
-        extra=extra,
-    )
-    for key in HEADLINE_KEYS:
-        value = doc[key]
-        print(f"{key:10s} {value:.4f}" if value is not None else f"{key:10s} n/a")
-    return 0
+    dataio.write_json(args.report, doc, open_output)
+    summary = "\n".join(f"{key:10s} {doc[key]:.4f}" if doc[key] is not None else f"{key:10s} n/a"
+                        for key in HEADLINE_KEYS)
+    return bundle.config, {"report": args.report}, extra, summary
 
 
 _LINE_WRITER = csv.writer(types.SimpleNamespace(write=str))  # writerow returns what write returns
@@ -272,11 +244,9 @@ def _write_scored_rows(fh, rows, scored, class_cells) -> None:
         fh.write(f"{line},{class_cells[k]},{score!r},{flag}\r\n")
 
 
-def cmd_score(args) -> int:
+def cmd_score(args, open_output):
     """Score ``--data`` block by block (``dataio.BLOCK_ROWS`` records at a
     time), so memory does not grow with the file."""
-    started = time.time()
-    _check_outputs(args, "out", ("bundle", "data"))
     bundle = _load_calibrated_bundle(args.bundle)
     rows_scored = dropped = 0
     class_cells = [_csv_line(["", name])[1:] for name in bundle.params.class_names]
@@ -284,7 +254,7 @@ def cmd_score(args) -> int:
         header = next(records)
         # checked before --out is created, so a file with no rows is checked too
         positions = dataio.column_positions(header, bundle.feature_names)
-        with dataio.atomic_output(args.out) as fh:
+        with open_output(args.out) as fh:
             fh.write(_csv_line(header + ["predicted_label", "score", "is_unknown"]) + "\r\n")
             blocks = dataio.iter_feature_blocks(records, positions, len(header))
             for scored, rows, n_dropped in _score_blocks(bundle, blocks):
@@ -293,17 +263,8 @@ def cmd_score(args) -> int:
                 dropped += n_dropped
     if dropped:
         log.warning("%s: dropped %d rows with missing or non-finite features", args.data, dropped)
-    _write_manifest(
-        args.out,
-        "score",
-        bundle.config,
-        {"bundle": args.bundle, "data": args.data},
-        {"scored": args.out},
-        started,
-        extra={"rows_scored": rows_scored, "dropped_rows": dropped},
-    )
-    print(f"scored {rows_scored} rows ({dropped} dropped) -> {args.out}")
-    return 0
+    extra = {"rows_scored": rows_scored, "dropped_rows": dropped}
+    return bundle.config, {"scored": args.out}, extra, f"scored {rows_scored} rows ({dropped} dropped) -> {args.out}"
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +284,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="training config JSON (--seed overrides its seed)")
     p_train.add_argument("--out", required=True, help="output bundle path")
     p_train.add_argument("--seed", type=int, help="override the config seed")
-    p_train.set_defaults(func=cmd_train)
+    p_train.set_defaults(func=cmd_train, out_flag="out", in_flags=("data", "roles", "config"),
+                         suffixes=(".history.txt",))
 
     p_cal = sub.add_parser("calibrate", help="calibrate the rejection threshold on validation data")
     p_cal.add_argument("--bundle", required=True, help="trained bundle")
     p_cal.add_argument("--data", required=True, help="labelled flow CSV")
     p_cal.add_argument("--roles", required=True, help="class-roles JSON config")
     p_cal.add_argument("--out", required=True, help="output calibrated bundle (never in place)")
-    p_cal.set_defaults(func=cmd_calibrate)
+    p_cal.set_defaults(func=cmd_calibrate, out_flag="out", in_flags=("bundle", "data", "roles"), suffixes=())
 
     p_eval = sub.add_parser("eval", help="evaluate a calibrated bundle and write a report")
     p_eval.add_argument("--bundle", required=True, help="calibrated bundle")
     p_eval.add_argument("--data", required=True, help="labelled flow CSV")
     p_eval.add_argument("--roles", required=True, help="class-roles JSON config")
     p_eval.add_argument("--report", required=True, help="output report JSON")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, out_flag="report", in_flags=("bundle", "data", "roles"), suffixes=())
 
     p_score = sub.add_parser("score", help="score new flows with a calibrated bundle")
     p_score.add_argument("--bundle", required=True, help="calibrated bundle")
     p_score.add_argument("--data", required=True, help="input CSV matching the bundle's feature schema")
     p_score.add_argument("--out", required=True, help="output CSV (input columns + predictions)")
-    p_score.set_defaults(func=cmd_score)
+    p_score.set_defaults(func=cmd_score, out_flag="out", in_flags=("bundle", "data"), suffixes=())
     return parser
 
 
@@ -354,7 +316,13 @@ def main(argv=None) -> int:
         if level.lower() not in ("debug", "info", "warning", "error", "critical"):
             raise CliError(f"RPMNET_LOG={level!r} is not a log level; use debug, info, warning, error or critical")
         logging.basicConfig(level=level.upper())
-        return args.func(args)
+        started = time.time()
+        _check_outputs(args)
+        with dataio.atomic_outputs() as open_output:
+            config, outputs, extra, summary = args.func(args, open_output)
+            _write_manifest(open_output, args, config, outputs, started, extra)
+        print(summary)
+        return 0
     except (
         CliError,
         ValueError,

@@ -59,6 +59,7 @@ __all__ = [
     "save_csv",
     "encode_labels",
     "fit_scaler",
+    "atomic_outputs",
     "atomic_output",
     "read_json",
     "write_json",
@@ -627,28 +628,58 @@ class ClassRoles:
 
 
 @contextlib.contextmanager
-def atomic_output(path, binary=False):
-    """A new file, ``<path>.<pid>.tmp`` (UTF-8 text with no newline
-    translation, or bytes), that replaces ``path`` once the ``with`` body
-    has finished.  On any error it is removed and ``path`` stays as it
-    was; an OSError that names no file, or the temp file, names ``path``."""
-    tmp, fh = f"{path}.{os.getpid()}.tmp", None
+def _naming(tmp, path):
+    """Make an OSError that names no file, or the temp file ``tmp``, name ``path``."""
     try:
-        fh = open(tmp, "xb") if binary else open(tmp, "x", newline="", encoding="utf-8")
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException as e:
-        if fh is not None:  # only a temp file this call created
-            os.remove(tmp)
-        if isinstance(e, OSError) and e.errno and e.filename in (None, tmp) and not isinstance(e, FileExistsError):
-            e.filename = str(path)
+        yield
+    except OSError as e:
+        if e.errno and e.filename in (None, tmp) and not isinstance(e, FileExistsError):
+            raise OSError(e.errno, e.strerror, str(path)) from e
         raise
 
 
-def write_json(path, value) -> None:
-    """Write ``value`` as indented, key-sorted JSON and a newline."""
-    with atomic_output(path) as fh:
+@contextlib.contextmanager
+def atomic_outputs():
+    """A group of outputs committed together.  The ``with`` target is an
+    opener: ``with open_output(path, binary=False) as fh`` writes a new
+    file, ``<path>.<pid>.tmp`` (UTF-8 text with no newline translation, or
+    bytes).  Once the group's ``with`` body has finished, each temp file
+    replaces its ``path``, in the order opened.  On any error the temp
+    files not yet renamed are removed, so their targets keep their bytes,
+    and an OSError names the ``path`` whose write or rename failed."""
+    pending = []  # (tmp, path) of each file opened and not yet renamed
+
+    @contextlib.contextmanager
+    def open_output(path, binary=False):
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with _naming(tmp, path):
+            fh = open(tmp, "xb") if binary else open(tmp, "x", newline="", encoding="utf-8")
+            pending.append((tmp, path))
+            with fh:
+                yield fh
+
+    try:
+        yield open_output
+        while pending:
+            with _naming(*pending[0]):
+                os.replace(*pending[0])
+            pending.pop(0)
+    except BaseException:
+        for tmp, _ in pending:
+            os.remove(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def atomic_output(path, binary=False):
+    """One output, committed as a group of one (:func:`atomic_outputs`)."""
+    with atomic_outputs() as open_output, open_output(path, binary) as fh:
+        yield fh
+
+
+def write_json(path, value, open_output=atomic_output) -> None:
+    """Write ``value`` as indented, key-sorted JSON and a newline, through ``open_output``."""
+    with open_output(path) as fh:
         json.dump(value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -778,9 +809,9 @@ class Bundle:
     threshold: Threshold | None = None
 
 
-def save_bundle(path, bundle: Bundle) -> None:
-    """Write the bundle: magic, manifest length, JSON manifest, float64
-    sections, CRC-32 trailer."""
+def save_bundle(path, bundle: Bundle, open_output=atomic_output) -> None:
+    """Write the bundle (magic, manifest length, JSON manifest, float64
+    sections, CRC-32 trailer) through ``open_output``."""
     sections = {**bundle.params.trainable(), "scaler_mean": bundle.scaler.mean, "scaler_std": bundle.scaler.std}
     payload = b""
     entries = []
@@ -806,7 +837,7 @@ def save_bundle(path, bundle: Bundle) -> None:
     manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = struct.pack("<I", len(manifest_bytes)) + manifest_bytes + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    with atomic_output(path, binary=True) as fh:
+    with open_output(path, binary=True) as fh:
         fh.write(_MAGIC + body + struct.pack("<I", crc))
 
 
@@ -876,8 +907,8 @@ def load_bundle(path) -> Bundle:
                 raise BundleError(
                     f"{path}: section {name!r} holds {n} bytes, but its shape {shape} needs {8 * math.prod(shape)}"
                 )
-            if start + n > len(payload):
-                raise BundleIntegrityError(f"{path}: section {name!r} exceeds payload")
+            if not 0 <= start <= start + n <= len(payload):
+                raise BundleIntegrityError(f"{path}: section {name!r} at offset {start} does not fit in the payload")
             arrays[name] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(shape).copy()
 
         try:

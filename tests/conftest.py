@@ -47,12 +47,12 @@ def rng():
 
 @pytest.fixture
 def fail_writes(monkeypatch):
-    """``fail_writes(target)`` makes each write to the temp file that
-    ``dio.atomic_output(target)`` opens fail with EFBIG, as a file-size
-    limit or a full disk would, once the file is open.  It returns a check
-    of an error message: ``target`` still holds the bytes it held before,
-    no temp file is left beside it, and the message names ``target``, not
-    its temp file."""
+    """``fail_writes(target)`` makes each write to the temp file that a
+    ``dio.atomic_outputs`` group opens for ``target`` fail with EFBIG, as
+    a file-size limit or a full disk would, once the file is open.  It
+    returns a check of an error message: ``target`` still holds the bytes
+    it held before, no temp file is left beside it, and the message names
+    ``target``, not its temp file."""
     real_open = open
 
     def efbig(data):

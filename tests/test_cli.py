@@ -772,11 +772,12 @@ def test_score_quoted_cells_match_csv_writer(workspace):
 @pytest.mark.parametrize("seed", [None, 3])
 def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
     """A config that is not a JSON object, not JSON at all, or holds a
-    non-finite number is an error naming the config file."""
+    non-finite or out-of-range number is an error naming the config file."""
     for name, text, message in [
         ("list.json", "[1]", "config must be a JSON object, not list"),
         ("bad.json", "{bad", "not valid JSON (Expecting property name enclosed in double quotes"),
         ("nan.json", '{"lr": NaN}', "lr must be finite, got nan"),
+        ("range.json", '{"dropout_rate": 1}', "dropout_rate must lie in [0, 1)"),
     ]:
         config = workspace["dir"] / name
         config.write_text(text)
@@ -958,16 +959,24 @@ def test_an_unknown_log_level_stops_the_command_before_any_input_is_read(
 def test_failed_write_keeps_the_previous_file(workspace, capsys, fail_writes, command, suffix):
     """A write that fails once its temp file is open (the bundle, the
     history, the report, the scored CSV or a manifest) gives rc 1 naming
-    that file, leaves its previous bytes, and leaves no temp file."""
+    that file and leaves no temp file.  The command's outputs are one
+    commit: every one of them keeps its previous bytes, whichever write
+    failed, and no summary is printed."""
     run_train(workspace)
     run_calibrate(workspace)
+    capsys.readouterr()
     inputs = {flag: workspace[key] for flag, key in COMMAND_INPUTS[command].items()}
     out = workspace["dir"] / "result"
-    target = workspace["dir"] / f"result{suffix}"
-    target.write_bytes(b"previous output\n")
-    kept = fail_writes(target)
+    written = ["", ".history.txt", ".manifest.json"] if command == "train" else ["", ".manifest.json"]
+    previous = {s: f"previous output{s}\n".encode() for s in written}
+    for s, data in previous.items():
+        (workspace["dir"] / f"result{s}").write_bytes(data)
+    kept = fail_writes(workspace["dir"] / f"result{suffix}")
     assert main(_argv(command, inputs, out)) == 1
-    kept(capsys.readouterr().err)
+    captured = capsys.readouterr()
+    kept(captured.err)
+    assert {s: (workspace["dir"] / f"result{s}").read_bytes() for s in written} == previous
+    assert captured.out == ""
 
 
 def test_train_past_a_file_size_limit_keeps_the_previous_bundle(workspace):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -994,6 +995,8 @@ def test_roles_file_requires_known(tmp_path):
         ({"known": ["a"], "label_column": ["Label"]}, "'label_column' must be a string"),
         ({"known": ["a"], "label_column": None}, "'label_column' must be a string"),
         ({"known": ["a"], "feature_names": []}, "'feature_names' is empty"),
+        ({"known": ["a"], "default": "excluded"}, re.escape(
+            "default role must be one of ('known', 'validation_unknown', 'test_unknown'), got 'excluded'")),
     ],
 )
 def test_roles_file_value_types(tmp_path, doc, named):
@@ -1176,6 +1179,47 @@ def test_bundle_section_layout_names_the_bundle_and_section(tmp_path, edit, mess
     assert str(info.value) == f"{path}: {message}"
 
 
+def _reseal(edit):
+    """A bundle edit that rewrites the bytes between the magic and the
+    CRC (manifest length, manifest, payload) with ``edit`` and re-seals
+    the CRC."""
+
+    def apply(path):
+        body = edit(path.read_bytes()[4:-4])
+        path.write_bytes(b"RPMB" + body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (_reseal(lambda body: struct.pack("<I", len(body)) + body[4:]), dio.BundleIntegrityError,
+         "manifest truncated"),
+        (_reseal(lambda body: body[:4] + b"x" + body[5:]), dio.BundleIntegrityError,
+         "manifest unreadable (Expecting value: line 1 column 1 (char 0))"),
+        (lambda path: rewrite_manifest(path, _section("scaler_std", offset=768)), dio.BundleIntegrityError,
+         "section 'scaler_std' at offset 768 does not fit in the payload"),
+        (lambda path: rewrite_manifest(path, _section("W1", offset=-192)), dio.BundleIntegrityError,
+         "section 'W1' at offset -192 does not fit in the payload"),
+        (_reseal(lambda body: body + bytes(8)), dio.BundleError,
+         "section 'scaler_std' ends at payload byte 792, but the payload has 800 bytes"),
+    ],
+    ids=["manifest past the end", "manifest not JSON", "section past the end", "negative offset",
+         "bytes after the last section"],
+)
+def test_bundle_bytes_that_do_not_parse_name_the_bundle(tmp_path, edit, error, message):
+    """A CRC-valid bundle whose manifest or sections do not fit its bytes
+    is an error naming it, not a bare reshape error (a negative offset
+    read as an empty slice) or a silent load of a longer payload."""
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    edit(path)
+    with pytest.raises(error) as info:
+        dio.load_bundle(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_score_with_a_bundle_one_feature_short_names_the_bundle(tmp_path, capsys):
     thr = osr.Threshold(tau=0.5, calibration_method="max-unknown-f1", calibration_stats={})
     path = tmp_path / "m.bundle"
@@ -1209,6 +1253,62 @@ def test_save_csv_failed_write_keeps_the_previous_file(tmp_path, fail_writes):
     with pytest.raises(OSError) as info:
         dio.save_csv(path, ds)
     kept(str(info.value))
+
+
+def _write_group(paths):
+    with dio.atomic_outputs() as open_output:
+        for i, path in enumerate(paths):
+            with open_output(path, binary=i % 2 == 1) as fh:
+                fh.write(b"new\n" if i % 2 else "new\n")
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_a_failed_write_in_a_group_keeps_every_target(tmp_path, fail_writes, failing):
+    """Whichever file of a group fails, also one after a file already
+    written in full, no target is replaced and no temp file is left."""
+    paths = [tmp_path / name for name in ("b.json", "c.bundle", "a.csv")]
+    for path in paths:
+        path.write_bytes(f"previous {path.name}\n".encode())
+    kept = fail_writes(paths[failing])
+    with pytest.raises(OSError) as info:
+        _write_group(paths)
+    kept(str(info.value))
+    assert [path.read_bytes() for path in paths] == [f"previous {path.name}\n".encode() for path in paths]
+
+
+def test_a_group_renames_in_the_order_opened_once_all_are_written(tmp_path, monkeypatch):
+    """No target is replaced before every file of the group is written
+    in full; the renames then run in the order the files were opened."""
+    paths = [tmp_path / name for name in ("b.json", "c.bundle", "a.csv")]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    renamed, real_replace = [], os.replace
+
+    def replace(src, dst):
+        if not renamed:
+            assert [os.path.getsize(tmp) for tmp in temps] == [4, 4, 4]
+        renamed.append((src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(dio.os, "replace", replace)
+    _write_group(paths)
+    assert renamed == list(zip(temps, paths))
+    assert [path.read_bytes() for path in paths] == [b"new\n"] * 3
+
+
+def test_a_failed_rename_keeps_the_targets_not_yet_renamed(tmp_path):
+    """A rename that fails after an earlier one succeeded, here over a
+    directory, is the one way a group lands in part: the targets before
+    it are replaced, the rest keep their bytes, no temp file is left, and
+    the error names the target."""
+    paths = [tmp_path / name for name in ("b.json", "c.bundle", "a.csv")]
+    paths[0].write_bytes(b"previous\n")
+    paths[1].mkdir()
+    paths[2].write_bytes(b"previous\n")
+    with pytest.raises(OSError) as info:
+        _write_group(paths)
+    assert str(info.value) == f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{paths[1]}'"
+    assert paths[0].read_bytes() == b"new\n" and paths[2].read_bytes() == b"previous\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_atomic_output_error_names_the_target_not_the_temp_file(tmp_path):

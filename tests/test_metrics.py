@@ -111,6 +111,25 @@ def test_macro_length_mismatch():
         mx.macro_prf([0, 1], [0], 2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mx.macro_prf([0, 1], [0, 2], 2), "truth labels must lie in [0, 2)"),
+        (lambda: mx.macro_prf([0, 1], [0, -1], 2), "truth labels must lie in [0, 2)"),
+        (lambda: mx.macro_prf([0, 2], [0, 1], 2), "predictions must lie in [0, 2) or be REJECTED"),
+        (lambda: mx.macro_prf([0, -2], [0, 1], 2), "predictions must lie in [0, 2) or be REJECTED"),
+        (lambda: mx.auroc([1.0, 2.0, 3.0], [True, False]), "scores and flags must have equal length"),
+        (lambda: mx.aupr([1.0, 2.0], [True, False, True]), "scores and flags must have equal length"),
+    ],
+    ids=["truth too large", "truth negative", "prediction too large", "prediction below REJECTED",
+         "auroc lengths", "aupr lengths"],
+)
+def test_metrics_reject_out_of_range_inputs(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=40))
 def test_macro_invariant_under_relabeling(pairs):

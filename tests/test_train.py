@@ -65,6 +65,27 @@ def test_config_from_dict_rejects_wrong_value_types(raw, message):
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"lr": 0}, "lr must be positive"),
+        ({"lr": -1e-3}, "lr must be positive"),
+        ({"epochs": -1}, "epochs must be >= 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"embed_dim": 0}, "embed_dim must be >= 1"),
+        ({"dropout_rate": 1.0}, "dropout_rate must lie in [0, 1)"),
+        ({"dropout_rate": -0.1}, "dropout_rate must lie in [0, 1)"),
+        ({"logit_scale": 0.0}, "logit_scale must be positive"),
+        ({"hidden_dims": (8, 6, 4)}, "hidden_dims must name exactly two hidden layer sizes"),
+        ({"margin_weight": -1.0}, "loss weights must be non-negative"),
+    ],
+)
+def test_config_rejects_values_out_of_range(raw, message):
+    with pytest.raises(ValueError) as info:
+        TrainConfig(**raw)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
     "raw, key, stored",
     [
         ({"fisher_weight": 0}, "fisher_weight", 0),
