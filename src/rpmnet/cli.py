@@ -91,8 +91,8 @@ def _write_manifest(open_output, args, config: TrainConfig, outputs, started, ex
 
 
 def _load_train_config(path, seed_override) -> TrainConfig:
-    """The ``--config`` file's TrainConfig (the defaults without one); an
-    error in it names the file."""
+    """The ``--config`` file's TrainConfig (the defaults without one),
+    with ``--seed``'s seed if given; an error names the file or ``--seed``."""
     config = TrainConfig()
     if path:
         raw = dataio.read_json(path, CliError)
@@ -100,7 +100,10 @@ def _load_train_config(path, seed_override) -> TrainConfig:
             config = TrainConfig.from_dict(raw)
         except ValueError as e:
             raise CliError(f"{path}: {e}") from None
-    return config if seed_override is None else replace(config, seed=seed_override)
+    try:
+        return config if seed_override is None else replace(config, seed=seed_override)
+    except ValueError as e:
+        raise CliError(f"--seed: {e}") from None
 
 
 def _load_calibrated_bundle(path) -> dataio.Bundle:

@@ -1,7 +1,7 @@
 """Training hyperparameters."""
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 
 
@@ -32,7 +32,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+            # abs(), not math.isfinite(): an int too large for a float is not finite either
+            if isinstance(f.default, float) and not abs(getattr(self, f.name)) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
@@ -55,6 +56,8 @@ class TrainConfig:
         for key in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"{key} must lie in [0, 1), got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.adam_eps <= 0:
             raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))

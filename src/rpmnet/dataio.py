@@ -28,13 +28,14 @@ import math
 import operator
 import os
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as mdl
-from .config import TrainConfig
+from .config import TrainConfig, _is_int
 from .openset import Threshold
 
 __all__ = [
@@ -684,6 +685,10 @@ def write_json(path, value, open_output=atomic_output) -> None:
         fh.write("\n")
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def read_json(path, error):
     """The JSON value a UTF-8 file holds; a byte that is not UTF-8, or
     text that is not JSON, is an ``error`` naming the file."""
@@ -695,7 +700,7 @@ def read_json(path, error):
         raise error(
             f"{path}: byte 0x{data[e.start]:02x} at byte offset {e.start} is not UTF-8; re-encode the file as UTF-8"
         ) from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or an integer too long to parse
         raise error(f"{path}: not valid JSON ({e})") from None
 
 
@@ -705,8 +710,8 @@ def load_roles(path) -> ClassRoles:
     optional ``default`` role, ``label_column``, and ``feature_names``
     (``default`` and ``feature_names`` may be null; null feature names
     mean every non-label column).  Values are checked, not coerced; a
-    wrong type or an empty ``feature_names`` is a RolesError naming the
-    key."""
+    wrong type, an empty ``feature_names`` or a ``default`` of ``known``
+    is a RolesError naming the key."""
     raw = read_json(path, RolesError)
     if not isinstance(raw, dict):
         raise RolesError(f"{path}: roles must be a JSON object, not {type(raw).__name__}")
@@ -720,12 +725,16 @@ def load_roles(path) -> ClassRoles:
         if key in ("default", "label_column"):
             ok, want = isinstance(value, str), "a string"
         else:
-            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
-            want = "a list of strings"
+            ok, want = _is_strings(value), "a list of strings"
         if not ok:
             raise RolesError(f"{path}: roles key {key!r} must be {want}, got {value!r}")
     if not raw.get("known"):
         raise RolesError(f"{path}: at least one known class is required")
+    if raw.get("default") == ROLE_KNOWN:
+        raise RolesError(
+            f"{path}: roles key 'default' may be 'validation_unknown' or 'test_unknown', not 'known'; "
+            "train learns only the classes listed in 'known', so list every known class there"
+        )
     fn = raw.get("feature_names")
     if fn == []:
         raise RolesError(f"{path}: roles key 'feature_names' is empty; list the feature columns, or null for all")
@@ -841,45 +850,26 @@ def save_bundle(path, bundle: Bundle, open_output=atomic_output) -> None:
         fh.write(_MAGIC + body + struct.pack("<I", crc))
 
 
-def _check_shapes(path, manifest, config, arrays) -> None:
-    """Raise BundleError if ``input_dim`` or a section's shape disagrees
-    with the sizes the manifest and its config give."""
-    d, k, e = len(manifest["feature_names"]), len(manifest["class_names"]), manifest["embed_dim"]
-    if manifest["input_dim"] != d:
-        raise BundleError(f"{path}: input_dim {manifest['input_dim']!r} disagrees with {d} feature_names")
-    h1, h2 = config.hidden_dims
-    want = {
-        "W1": (d, h1), "b1": (h1,), "W2": (h1, h2), "b2": (h2,), "W3": (h2, e), "b3": (e,),
-        "points": (k, e), "raw_margins": (k, 1), "scaler_mean": (d,), "scaler_std": (d,),
-    }
-    for name, shape in want.items():
-        if arrays[name].shape != shape:
-            raise BundleError(
-                f"{path}: section {name!r} has shape {list(arrays[name].shape)}, but {d} feature_names, "
-                f"{k} class_names, embed_dim {e!r} and hidden_dims {[h1, h2]} give {list(shape)}"
-            )
-
-
-def _check_layout(path, sections, size) -> None:
-    """Raise BundleError unless the sections tile the payload of ``size``
-    bytes in manifest order, from offset 0 to its end, as
-    :func:`save_bundle` writes them."""
-    end = 0
-    for entry in sections:
-        if entry["offset"] != end:
-            raise BundleError(
-                f"{path}: section {entry['name']!r} starts at payload byte {entry['offset']}, not {end}; "
-                "the sections must tile the payload in order"
-            )
-        end += entry["nbytes"]
-    if end != size:
-        raise BundleError(
-            f"{path}: section {entry['name']!r} ends at payload byte {end}, but the payload has {size} bytes"
-        )
+def _is_threshold(value) -> bool:
+    """Whether ``value`` has the types :meth:`Threshold.to_dict` writes."""
+    if not isinstance(value, dict):
+        return False
+    tau = value.get("tau")
+    return (
+        isinstance(tau, (int, float)) and not isinstance(tau, bool) and abs(tau) <= sys.float_info.max
+        and isinstance(value.get("calibration_method"), str) and isinstance(value.get("calibration_stats"), dict)
+    )
 
 
 def load_bundle(path) -> Bundle:
-    """Byte-exact inverse of :func:`save_bundle`."""
+    """Byte-exact inverse of :func:`save_bundle`; a bundle it could not
+    have written is a BundleError naming the bundle.  The stored config,
+    the types of the manifest's fields and ``input_dim`` are checked
+    first, then each of the ten sections once, in the order
+    :func:`save_bundle` writes them: it exists, its fields are integers,
+    ``nbytes`` fits its shape, it fits in the payload, its shape is the
+    one the manifest's names and dims give, and it starts where the one
+    before ends; the last must end at the payload's end."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_MAGIC) + 8 or not blob.startswith(_MAGIC):
@@ -892,38 +882,83 @@ def load_bundle(path) -> Bundle:
         raise BundleIntegrityError(f"{path}: manifest truncated")
     try:
         manifest = json.loads(body[4 : 4 + manifest_len].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # not UTF-8, not JSON, or an integer too long to parse
         raise BundleIntegrityError(f"{path}: manifest unreadable ({e})") from None
+    if not isinstance(manifest, dict):
+        raise BundleIntegrityError(f"{path}: manifest is not a JSON object")
     fmt = manifest.get("format")
     if fmt != BUNDLE_FORMAT:
         raise BundleVersionError(f"{path}: bundle format {fmt!r} unsupported; this build reads {BUNDLE_FORMAT!r}")
 
     payload = body[4 + manifest_len :]
     try:
-        arrays = {}
-        for entry in manifest["sections"]:
-            name, start, n, shape = entry["name"], entry["offset"], entry["nbytes"], entry["shape"]
+        try:
+            config = TrainConfig.from_dict(manifest["config"])
+        except ValueError as e:
+            raise BundleError(f"{path}: stored config is invalid ({e})") from None
+        sections, classes, scale = manifest["sections"], manifest["class_names"], manifest["logit_scale"]
+        for key, ok, want in (
+            ("sections", isinstance(sections, list) and all(isinstance(s, dict) for s in sections),
+             "a list of objects"),
+            ("class_names", _is_strings(classes) and len(set(classes)) == len(classes), "a list of distinct strings"),
+            ("feature_names", _is_strings(manifest["feature_names"]), "a list of strings"),
+            ("label_column", isinstance(manifest["label_column"], str), "a string"),
+            ("logit_scale", not isinstance(scale, bool) and scale == config.logit_scale,
+             f"the stored config's logit_scale {config.logit_scale!r}"),
+            ("threshold", manifest["threshold"] is None or _is_threshold(manifest["threshold"]),
+             "null or an object with a finite number tau, a string calibration_method and an object "
+             "calibration_stats"),
+        ):
+            if not ok:
+                raise BundleError(f"{path}: manifest key {key!r} must be {want}, got {manifest[key]!r}")
+        d, k, e = len(manifest["feature_names"]), len(classes), manifest["embed_dim"]
+        if manifest["input_dim"] != d:
+            raise BundleError(f"{path}: input_dim {manifest['input_dim']!r} disagrees with {d} feature_names")
+        h1, h2 = config.hidden_dims
+        shapes = {
+            "W1": [d, h1], "W2": [h1, h2], "W3": [h2, e], "b1": [h1], "b2": [h2], "b3": [e],
+            "points": [k, e], "raw_margins": [k, 1], "scaler_mean": [d], "scaler_std": [d],
+        }
+        arrays, end = {}, 0
+        for name in sorted(shapes):
+            entry = next((s for s in sections if s.get("name") == name), None)
+            if entry is None:
+                raise KeyError(name)
+            start, n, shape = entry.get("offset"), entry.get("nbytes"), entry.get("shape")
+            if not (_is_int(start) and _is_int(n) and isinstance(shape, list) and all(map(_is_int, shape))):
+                raise BundleError(
+                    f"{path}: section {name!r} has offset {start!r}, nbytes {n!r} and shape {shape!r}; "
+                    "offset and nbytes must be integers, and shape a list of integers"
+                )
             if n != 8 * math.prod(shape):
                 raise BundleError(
                     f"{path}: section {name!r} holds {n} bytes, but its shape {shape} needs {8 * math.prod(shape)}"
                 )
             if not 0 <= start <= start + n <= len(payload):
                 raise BundleIntegrityError(f"{path}: section {name!r} at offset {start} does not fit in the payload")
+            if shape != shapes[name]:
+                raise BundleError(
+                    f"{path}: section {name!r} has shape {shape}, but {d} feature_names, {k} class_names, "
+                    f"embed_dim {e!r} and hidden_dims {[h1, h2]} give {shapes[name]}"
+                )
+            if start != end:
+                raise BundleError(
+                    f"{path}: section {name!r} starts at payload byte {start}, not {end}; "
+                    "the sections must tile the payload in order"
+                )
             arrays[name] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(shape).copy()
-
-        try:
-            config = TrainConfig.from_dict(manifest["config"])
-        except ValueError as e:
-            raise BundleError(f"{path}: stored config is invalid ({e})") from None
-        _check_shapes(path, manifest, config, arrays)
-        _check_layout(path, manifest["sections"], len(payload))
+            end += n
+        if end != len(payload):
+            raise BundleError(
+                f"{path}: section {name!r} ends at payload byte {end}, but the payload has {len(payload)} bytes"
+            )
         params = mdl.ModelParams(
             weights=(arrays["W1"], arrays["W2"], arrays["W3"]),
             biases=(arrays["b1"], arrays["b2"], arrays["b3"]),
             reciprocal_points=arrays["points"],
             raw_margins=arrays["raw_margins"],
-            logit_scale=float(manifest["logit_scale"]),
-            class_names=tuple(manifest["class_names"]),
+            logit_scale=float(scale),
+            class_names=tuple(classes),
         )
         scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
         threshold = Threshold.from_dict(manifest["threshold"]) if manifest["threshold"] else None

@@ -21,6 +21,7 @@ import rpmnet.dataio as dio
 import rpmnet.openset as osr
 from rpmnet.cli import _csv_line, _write_scored_rows, main
 from rpmnet.synthetic import gaussian_clusters
+from test_dataio import _THRESHOLD, rewrite_manifest, tiny_bundle
 
 
 @pytest.fixture
@@ -362,6 +363,30 @@ def test_score_refuses_in_place(workspace, capsys):
 
 def _score(ws, data, out):
     return main(["score", "--bundle", ws["calibrated"], "--data", str(data), "--out", str(out)])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m["sections"][0].update(offset="0"),
+        lambda m: m["sections"][0].update(shape=[-4, -6]),
+        lambda m: m.update(sections=5),
+        lambda m: m["threshold"].update(tau=float("nan")),
+    ],
+    ids=["W1 offset a string", "W1 negative dims", "sections an int", "tau NaN"],
+)
+def test_score_with_a_malformed_bundle_names_it_and_writes_nothing(tmp_path, capsys, edit):
+    """A CRC-valid bundle with a malformed manifest field stops ``score``
+    with one error line naming the bundle, not a traceback."""
+    bundle = tmp_path / "m.bundle"
+    dio.save_bundle(bundle, tiny_bundle(threshold=_THRESHOLD))
+    rewrite_manifest(bundle, edit)
+    data = tmp_path / "flows.csv"
+    data.write_text("f0,f1,f2,f3\n1,2,3,4\n")
+    assert main(["score", "--bundle", str(bundle), "--data", str(data), "--out", str(tmp_path / "scored.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bundle}: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["flows.csv", "m.bundle"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -778,6 +803,7 @@ def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
         ("bad.json", "{bad", "not valid JSON (Expecting property name enclosed in double quotes"),
         ("nan.json", '{"lr": NaN}', "lr must be finite, got nan"),
         ("range.json", '{"dropout_rate": 1}', "dropout_rate must lie in [0, 1)"),
+        ("seed.json", '{"seed": -1}', "seed must be >= 0, got -1"),
     ]:
         config = workspace["dir"] / name
         config.write_text(text)
@@ -787,6 +813,13 @@ def test_train_config_not_an_object_is_a_clear_error(workspace, capsys, seed):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: ") and message in err
         assert not (workspace["dir"] / "model.bundle").exists()
+
+
+def test_train_negative_seed_names_the_flag(workspace, capsys):
+    argv = ["train", "--data", workspace["data"], "--roles", workspace["roles"], "--out", workspace["bundle"]]
+    assert main(argv + ["--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed: seed must be >= 0, got -1\n"
+    assert not (workspace["dir"] / "model.bundle").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("train", "config"), ("train", "roles"), ("calibrate", "roles"),

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import struct
+import sys
 import tracemalloc
 import zlib
 from collections import Counter
@@ -1005,6 +1006,19 @@ def test_roles_file_value_types(tmp_path, doc, named):
         dio.load_roles(path)
 
 
+def test_roles_file_default_known_names_the_file(tmp_path):
+    """``train`` learns only the classes listed in ``known``, so a class
+    that only the default makes known would fail later, as a label
+    outside the class vocabulary that names neither file nor cause."""
+    path = write(tmp_path / "roles.json", json.dumps({"known": ["a"], "test_unknown": ["u"], "default": "known"}))
+    with pytest.raises(dio.RolesError) as info:
+        dio.load_roles(path)
+    assert str(info.value) == (
+        f"{path}: roles key 'default' may be 'validation_unknown' or 'test_unknown', not 'known'; "
+        "train learns only the classes listed in 'known', so list every known class there"
+    )
+
+
 def test_roles_file_null_default_and_feature_names(tmp_path):
     doc = {"known": ["a"], "default": None, "feature_names": None, "note": ["free", "text"]}
     roles = dio.load_roles(write(tmp_path / "roles.json", json.dumps(doc)))
@@ -1204,9 +1218,11 @@ def _reseal(edit):
          "section 'W1' at offset -192 does not fit in the payload"),
         (_reseal(lambda body: body + bytes(8)), dio.BundleError,
          "section 'scaler_std' ends at payload byte 792, but the payload has 800 bytes"),
+        (_reseal(lambda body: struct.pack("<I", 3) + b"[1]" + body[4 + struct.unpack("<I", body[:4])[0] :]),
+         dio.BundleIntegrityError, "manifest is not a JSON object"),
     ],
     ids=["manifest past the end", "manifest not JSON", "section past the end", "negative offset",
-         "bytes after the last section"],
+         "bytes after the last section", "manifest not an object"],
 )
 def test_bundle_bytes_that_do_not_parse_name_the_bundle(tmp_path, edit, error, message):
     """A CRC-valid bundle whose manifest or sections do not fit its bytes
@@ -1218,6 +1234,144 @@ def test_bundle_bytes_that_do_not_parse_name_the_bundle(tmp_path, edit, error, m
     with pytest.raises(error) as info:
         dio.load_bundle(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+def _with_a_long_integer(body):
+    """A bundle body whose manifest starts with a 5000-digit integer."""
+    (n,) = struct.unpack("<I", body[:4])
+    manifest = b'{"note":1' + b"0" * 5000 + b"," + body[5 : 4 + n]
+    return struct.pack("<I", len(manifest)) + manifest + body[4 + n :]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python parses integers of any length")
+def test_an_integer_too_long_to_parse_names_the_file(tmp_path):
+    """Python parses no integer of more than 4300 digits, with a ValueError
+    that is not a JSONDecodeError; the error still names the file."""
+    roles = write(tmp_path / "roles.json", '{"known": ["a"], "note": 1' + "0" * 5000 + "}")
+    with pytest.raises(dio.RolesError, match=f"^{re.escape(roles)}: not valid JSON \\(Exceeds the limit"):
+        dio.load_roles(roles)
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    _reseal(_with_a_long_integer)(path)
+    with pytest.raises(dio.BundleIntegrityError, match=f"^{re.escape(str(path))}: manifest unreadable \\(Exceeds"):
+        dio.load_bundle(path)
+
+
+_FIELD_TYPES = "; offset and nbytes must be integers, and shape a list of integers"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"shape": 5}, "has offset 0, nbytes 192 and shape 5" + _FIELD_TYPES),
+        ({"offset": "0"}, "has offset '0', nbytes 192 and shape [4, 6]" + _FIELD_TYPES),
+        ({"nbytes": 192.0}, "has offset 0, nbytes 192.0 and shape [4, 6]" + _FIELD_TYPES),
+        ({"shape": [4.0, 6]}, "has offset 0, nbytes 192 and shape [4.0, 6]" + _FIELD_TYPES),
+        ({"offset": False}, "has offset False, nbytes 192 and shape [4, 6]" + _FIELD_TYPES),
+        ({"nbytes": None}, "has offset 0, nbytes None and shape [4, 6]" + _FIELD_TYPES),
+        ({"shape": [-4, -6]}, "has shape [-4, -6], but 4 feature_names, 2 class_names, embed_dim 3 and "
+         "hidden_dims [6, 5] give [4, 6]"),
+    ],
+    ids=["shape an int", "offset a string", "nbytes a float", "a float in shape", "offset a bool", "nbytes null",
+         "negative dims"],
+)
+def test_section_fields_of_the_wrong_type_name_the_bundle_and_section(tmp_path, fields, message):
+    """A section entry whose offset, nbytes or shape is not what
+    save_bundle writes is a BundleError naming the bundle, the section
+    and its fields, not a TypeError from slicing or reshaping."""
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle())
+    rewrite_manifest(path, _section("W1", **fields))
+    with pytest.raises(dio.BundleError) as info:
+        dio.load_bundle(path)
+    assert str(info.value) == f"{path}: section 'W1' {message}"
+
+
+_THRESHOLD = osr.Threshold(tau=0.5, calibration_method="max-unknown-f1", calibration_stats={})
+_THRESHOLD_TYPES = ("null or an object with a finite number tau, a string calibration_method and an object "
+                    "calibration_stats")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m.update(sections=5), "'sections' must be a list of objects, got 5"),
+        (lambda m: m["sections"].append("W4"), "'sections' must be a list of objects, got [{"),
+        (lambda m: m.update(class_names="ab"), "'class_names' must be a list of distinct strings, got 'ab'"),
+        (lambda m: m.update(class_names=["alpha", "alpha"]),
+         "'class_names' must be a list of distinct strings, got ['alpha', 'alpha']"),
+        (lambda m: m["feature_names"].__setitem__(1, 1),
+         "'feature_names' must be a list of strings, got ['f0', 1, 'f2', 'f3']"),
+        (lambda m: m.update(label_column=None), "'label_column' must be a string, got None"),
+        (lambda m: m.update(logit_scale=-1.0), "'logit_scale' must be the stored config's logit_scale 1.0, got -1.0"),
+        (lambda m: m.update(logit_scale=True), "'logit_scale' must be the stored config's logit_scale 1.0, got True"),
+        (lambda m: m.update(threshold=[1]), f"'threshold' must be {_THRESHOLD_TYPES}, got [1]"),
+        (lambda m: m.update(threshold={}), f"'threshold' must be {_THRESHOLD_TYPES}, got {{}}"),
+        (lambda m: m["threshold"].update(calibration_stats=[1]), f"'threshold' must be {_THRESHOLD_TYPES}, got "
+         "{'calibration_method': 'max-unknown-f1', 'calibration_stats': [1], 'tau': 0.5}"),
+        (lambda m: m["threshold"].update(calibration_method=None), f"'threshold' must be {_THRESHOLD_TYPES}, got "
+         "{'calibration_method': None, 'calibration_stats': {}, 'tau': 0.5}"),
+        (lambda m: m["threshold"].update(tau=math.nan), f"'threshold' must be {_THRESHOLD_TYPES}, got "
+         "{'calibration_method': 'max-unknown-f1', 'calibration_stats': {}, 'tau': nan}"),
+        (lambda m: m["threshold"].update(tau=10**400), f"'threshold' must be {_THRESHOLD_TYPES}, got "
+         "{'calibration_method': 'max-unknown-f1', 'calibration_stats': {}, 'tau': " + str(10**400) + "}"),
+        (lambda m: m["threshold"].update(tau="0.5"), f"'threshold' must be {_THRESHOLD_TYPES}, got "
+         "{'calibration_method': 'max-unknown-f1', 'calibration_stats': {}, 'tau': '0.5'}"),
+    ],
+    ids=["sections not a list", "a section not an object", "class_names a string", "class_names repeated",
+         "a feature name not a string", "label_column null", "logit_scale not the config's", "logit_scale a bool",
+         "threshold a list", "threshold empty", "calibration_stats a list", "calibration_method null", "tau NaN",
+         "tau past a float", "tau a string"],
+)
+def test_manifest_fields_of_the_wrong_type_name_the_bundle_and_key(tmp_path, edit, message):
+    """A manifest field whose type is not the one save_bundle writes is a
+    BundleError naming the bundle and the key, not a TypeError, a class
+    list read from a string's letters, a tau that flags no row, or a
+    logit scale other than the config's."""
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, tiny_bundle(threshold=_THRESHOLD))
+    rewrite_manifest(path, edit)
+    with pytest.raises(dio.BundleError) as info:
+        dio.load_bundle(path)
+    assert str(info.value).startswith(f"{path}: manifest key {message}")
+
+
+_SECTION_NAMES = ("W1", "W2", "W3", "b1", "b2", "b3", "points", "raw_margins", "scaler_mean", "scaler_std")
+_MANIFEST_KEYS = ("class_names", "config", "embed_dim", "feature_names", "format", "input_dim", "label_column",
+                  "logit_scale", "sections", "threshold")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.one_of(
+        st.tuples(st.sampled_from(_SECTION_NAMES), st.sampled_from(("name", "offset", "nbytes", "shape"))),
+        st.tuples(st.none(), st.sampled_from(_MANIFEST_KEYS)),
+    ),
+    value=st.one_of(
+        st.integers(min_value=0), st.integers(max_value=-1), st.floats(), st.text(max_size=6), st.booleans(),
+        st.lists(st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.booleans()), max_size=3),
+        st.none(),
+    ),
+)
+@example(target=("W1", "offset"), value="0")
+@example(target=("W1", "shape"), value=[-4, -6])
+@example(target=(None, "sections"), value=5)
+def test_a_corrupted_manifest_field_loads_or_names_the_bundle(tmp_path_factory, target, value):
+    """One field of a section entry, or one top-level manifest key, set
+    to a value of any JSON type: the bundle loads, or the error is a
+    BundleError naming it, never another exception."""
+    path = tmp_path_factory.mktemp("bundle") / "m.bundle"
+    dio.save_bundle(path, tiny_bundle(threshold=_THRESHOLD))
+    section, key = target
+
+    def corrupt(m):
+        (m if section is None else next(e for e in m["sections"] if e["name"] == section))[key] = value
+
+    rewrite_manifest(path, corrupt)
+    try:
+        dio.load_bundle(path)
+    except dio.BundleError as e:
+        assert str(e).startswith(f"{path}: ")
 
 
 def test_score_with_a_bundle_one_feature_short_names_the_bundle(tmp_path, capsys):

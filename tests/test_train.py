@@ -77,6 +77,8 @@ def test_config_from_dict_rejects_wrong_value_types(raw, message):
         ({"logit_scale": 0.0}, "logit_scale must be positive"),
         ({"hidden_dims": (8, 6, 4)}, "hidden_dims must name exactly two hidden layer sizes"),
         ({"margin_weight": -1.0}, "loss weights must be non-negative"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"lr": 10**400}, f"lr must be finite, got {10**400}"),  # too large for a float
     ],
 )
 def test_config_rejects_values_out_of_range(raw, message):
