@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import itertools
 import logging
 import os
 import sys
@@ -132,16 +133,24 @@ def _score_blocks(bundle, blocks):
         yield osr.score(bundle.params, bundle.scaler.transform(features, out=features)), rows, dropped
 
 
-def _score_labelled(bundle, path, roles):
-    """Score a labelled CSV block by block, never holding its feature
-    matrix, and split its kept rows.  Returns each kept row's label,
-    score, argmax and ``make_split`` code, and the manifest's drop count
-    and partition sizes."""
-    blocks = dataio.iter_labelled_blocks(path, bundle.feature_names, bundle.label_column)
+def _score_labelled(bundle, roles, args):
+    """Score the labelled CSV ``--data`` block by block, never holding its
+    feature matrix, and split its kept rows.  Returns each kept row's
+    label, score, argmax and ``make_split`` code, and the manifest's drop
+    count and partition sizes.  A class with known-train or known-test
+    rows that the bundle was not trained on is a CliError."""
+    blocks = dataio.iter_labelled_blocks(args.data, bundle.feature_names, bundle.label_column)
     next(blocks)  # the feature names, which are the bundle's
     scored, labels, dropped = zip(*_score_blocks(bundle, blocks))
     labels = [label for block in labels for label in block]
     part = dataio.make_split(labels, roles, seed=bundle.config.seed)
+    untrained = sorted(set(itertools.compress(labels, (part <= 1).tolist())) - set(bundle.params.class_names))
+    if untrained:
+        raise CliError(
+            f"--roles {args.roles} makes known classes that --bundle {args.bundle} was not trained on "
+            f"(labels not in the class vocabulary: {', '.join(map(repr, untrained))}); "
+            "give them an unknown role, or train a bundle on them"
+        )
     sizes = np.bincount(part, minlength=4).tolist()
     extra = {"dropped_rows": sum(dropped), "partition_rows": dict(zip(PARTITIONS, sizes))}
     scores = np.concatenate([s.scores for s in scored])
@@ -193,7 +202,7 @@ def cmd_train(args, open_output):
 def cmd_calibrate(args, open_output):
     bundle = dataio.load_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
-    _, scores, _, part, extra = _score_labelled(bundle, args.data, roles)
+    _, scores, _, part, extra = _score_labelled(bundle, roles, args)
     _require_samples((part == 0).any(), dataio.ROLE_KNOWN, args)
     _require_samples((part == 2).any(), dataio.ROLE_VALIDATION_UNKNOWN, args)
     threshold = osr.calibrate(scores[part == 0], scores[part == 2])
@@ -207,7 +216,7 @@ def cmd_calibrate(args, open_output):
 def cmd_eval(args, open_output):
     bundle = _load_calibrated_bundle(args.bundle)
     roles = dataio.load_roles(args.roles)
-    labels, scores, predicted, part, extra = _score_labelled(bundle, args.data, roles)
+    labels, scores, predicted, part, extra = _score_labelled(bundle, roles, args)
     known = part == 1
     _require_samples(known.any(), dataio.ROLE_KNOWN, args)
     y = dataio.encode_labels([labels[i] for i in np.flatnonzero(known)], bundle.params.class_names)
@@ -256,7 +265,10 @@ def cmd_score(args, open_output):
     with contextlib.closing(dataio.iter_records(args.data)) as records:
         header = next(records)
         # checked before --out is created, so a file with no rows is checked too
-        positions = dataio.column_positions(header, bundle.feature_names)
+        try:
+            positions = dataio.column_positions(header, bundle.feature_names)
+        except dataio.SchemaError as e:
+            raise dataio.SchemaError(f"{args.data}: {e}") from None
         with open_output(args.out) as fh:
             fh.write(_csv_line(header + ["predicted_label", "score", "is_unknown"]) + "\r\n")
             blocks = dataio.iter_feature_blocks(records, positions, len(header))

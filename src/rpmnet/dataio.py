@@ -28,7 +28,6 @@ import math
 import operator
 import os
 import struct
-import sys
 import zlib
 from dataclasses import dataclass
 
@@ -440,7 +439,10 @@ def iter_labelled_blocks(path, feature_names=None, label_column: str = "label"):
         if feature_names is None:
             feature_names = [h for h in header if h != label_column]
         feature_names = tuple(feature_names)
-        *positions, label_pos = column_positions(header, [*feature_names, label_column])
+        try:
+            *positions, label_pos = column_positions(header, [*feature_names, label_column])
+        except SchemaError as e:
+            raise SchemaError(f"{path}: {e}") from None
         width = len(header)
         yield feature_names
         vocabulary, dropped = {}, 0  # label -> the one str its rows share
@@ -710,8 +712,9 @@ def load_roles(path) -> ClassRoles:
     optional ``default`` role, ``label_column``, and ``feature_names``
     (``default`` and ``feature_names`` may be null; null feature names
     mean every non-label column).  Values are checked, not coerced; a
-    wrong type, an empty ``feature_names`` or a ``default`` of ``known``
-    is a RolesError naming the key."""
+    wrong type, a ``feature_names`` that is empty, repeats a name or
+    lists the label column, or a ``default`` of ``known`` is a RolesError
+    naming the key, and every RolesError names the file."""
     raw = read_json(path, RolesError)
     if not isinstance(raw, dict):
         raise RolesError(f"{path}: roles must be a JSON object, not {type(raw).__name__}")
@@ -735,17 +738,25 @@ def load_roles(path) -> ClassRoles:
             f"{path}: roles key 'default' may be 'validation_unknown' or 'test_unknown', not 'known'; "
             "train learns only the classes listed in 'known', so list every known class there"
         )
-    fn = raw.get("feature_names")
+    fn, label_column = raw.get("feature_names"), raw.get("label_column", "label")
     if fn == []:
         raise RolesError(f"{path}: roles key 'feature_names' is empty; list the feature columns, or null for all")
-    return ClassRoles(
-        known=tuple(raw.get("known", ())),
-        validation_unknown=tuple(raw.get("validation_unknown", ())),
-        test_unknown=tuple(raw.get("test_unknown", ())),
-        default=raw.get("default"),
-        label_column=raw.get("label_column", "label"),
-        feature_names=None if fn is None else tuple(fn),
-    )
+    for name in dict.fromkeys(fn or ()):
+        if name == label_column or fn.count(name) > 1:
+            why = "is the label column" if name == label_column else "is listed more than once"
+            raise RolesError(f"{path}: roles key 'feature_names': {name!r} {why}; "
+                             "list each feature column once, and not the label column")
+    try:
+        return ClassRoles(
+            known=tuple(raw.get("known", ())),
+            validation_unknown=tuple(raw.get("validation_unknown", ())),
+            test_unknown=tuple(raw.get("test_unknown", ())),
+            default=raw.get("default"),
+            label_column=label_column,
+            feature_names=None if fn is None else tuple(fn),
+        )
+    except RolesError as e:
+        raise RolesError(f"{path}: {e}") from None
 
 
 def preset_roles_path(name: str):
@@ -821,7 +832,7 @@ class Bundle:
 def save_bundle(path, bundle: Bundle, open_output=atomic_output) -> None:
     """Write the bundle (magic, manifest length, JSON manifest, float64
     sections, CRC-32 trailer) through ``open_output``."""
-    sections = {**bundle.params.trainable(), "scaler_mean": bundle.scaler.mean, "scaler_std": bundle.scaler.std}
+    sections = {**bundle.params.tensors, "scaler_mean": bundle.scaler.mean, "scaler_std": bundle.scaler.std}
     payload = b""
     entries = []
     for name in sorted(sections):
@@ -848,17 +859,6 @@ def save_bundle(path, bundle: Bundle, open_output=atomic_output) -> None:
     crc = zlib.crc32(body) & 0xFFFFFFFF
     with open_output(path, binary=True) as fh:
         fh.write(_MAGIC + body + struct.pack("<I", crc))
-
-
-def _is_threshold(value) -> bool:
-    """Whether ``value`` has the types :meth:`Threshold.to_dict` writes."""
-    if not isinstance(value, dict):
-        return False
-    tau = value.get("tau")
-    return (
-        isinstance(tau, (int, float)) and not isinstance(tau, bool) and abs(tau) <= sys.float_info.max
-        and isinstance(value.get("calibration_method"), str) and isinstance(value.get("calibration_stats"), dict)
-    )
 
 
 def load_bundle(path) -> Bundle:
@@ -897,6 +897,7 @@ def load_bundle(path) -> Bundle:
         except ValueError as e:
             raise BundleError(f"{path}: stored config is invalid ({e})") from None
         sections, classes, scale = manifest["sections"], manifest["class_names"], manifest["logit_scale"]
+        threshold = manifest["threshold"]
         for key, ok, want in (
             ("sections", isinstance(sections, list) and all(isinstance(s, dict) for s in sections),
              "a list of objects"),
@@ -905,20 +906,20 @@ def load_bundle(path) -> Bundle:
             ("label_column", isinstance(manifest["label_column"], str), "a string"),
             ("logit_scale", not isinstance(scale, bool) and scale == config.logit_scale,
              f"the stored config's logit_scale {config.logit_scale!r}"),
-            ("threshold", manifest["threshold"] is None or _is_threshold(manifest["threshold"]),
-             "null or an object with a finite number tau, a string calibration_method and an object "
-             "calibration_stats"),
         ):
             if not ok:
                 raise BundleError(f"{path}: manifest key {key!r} must be {want}, got {manifest[key]!r}")
+        try:
+            threshold = None if threshold is None else Threshold.from_dict(threshold)
+        except ValueError:
+            raise BundleError(
+                f"{path}: manifest key 'threshold' must be null or an object with a finite number tau, "
+                f"a string calibration_method and an object calibration_stats, got {threshold!r}"
+            ) from None
         d, k, e = len(manifest["feature_names"]), len(classes), manifest["embed_dim"]
         if manifest["input_dim"] != d:
             raise BundleError(f"{path}: input_dim {manifest['input_dim']!r} disagrees with {d} feature_names")
-        h1, h2 = config.hidden_dims
-        shapes = {
-            "W1": [d, h1], "W2": [h1, h2], "W3": [h2, e], "b1": [h1], "b2": [h2], "b3": [e],
-            "points": [k, e], "raw_margins": [k, 1], "scaler_mean": [d], "scaler_std": [d],
-        }
+        shapes = {**mdl.param_shapes(d, config.hidden_dims, e, k), "scaler_mean": [d], "scaler_std": [d]}
         arrays, end = {}, 0
         for name in sorted(shapes):
             entry = next((s for s in sections if s.get("name") == name), None)
@@ -939,7 +940,7 @@ def load_bundle(path) -> Bundle:
             if shape != shapes[name]:
                 raise BundleError(
                     f"{path}: section {name!r} has shape {shape}, but {d} feature_names, {k} class_names, "
-                    f"embed_dim {e!r} and hidden_dims {[h1, h2]} give {shapes[name]}"
+                    f"embed_dim {e!r} and hidden_dims {list(config.hidden_dims)} give {shapes[name]}"
                 )
             if start != end:
                 raise BundleError(
@@ -952,18 +953,9 @@ def load_bundle(path) -> Bundle:
             raise BundleError(
                 f"{path}: section {name!r} ends at payload byte {end}, but the payload has {len(payload)} bytes"
             )
-        params = mdl.ModelParams(
-            weights=(arrays["W1"], arrays["W2"], arrays["W3"]),
-            biases=(arrays["b1"], arrays["b2"], arrays["b3"]),
-            reciprocal_points=arrays["points"],
-            raw_margins=arrays["raw_margins"],
-            logit_scale=float(scale),
-            class_names=tuple(classes),
-        )
-        scaler = Scaler(mean=arrays["scaler_mean"], std=arrays["scaler_std"])
-        threshold = Threshold.from_dict(manifest["threshold"]) if manifest["threshold"] else None
+        scaler = Scaler(mean=arrays.pop("scaler_mean"), std=arrays.pop("scaler_std"))
         return Bundle(
-            params=params,
+            params=mdl.ModelParams(arrays, float(scale), tuple(classes)),
             scaler=scaler,
             config=config,
             feature_names=tuple(manifest["feature_names"]),

@@ -39,22 +39,54 @@ INFER_ROWS = 256  # rows in every product of class_distances
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "W3", "b3", "points", "raw_margins")
 
 
+def param_shapes(input_dim, hidden_dims, embed_dim, num_classes) -> dict:
+    """name -> shape (a list) of each trainable tensor, in ``PARAM_NAMES``
+    order: the one statement of the model's parameter layout."""
+    h1, h2 = hidden_dims
+    return {"W1": [input_dim, h1], "b1": [h1], "W2": [h1, h2], "b2": [h2], "W3": [h2, embed_dim], "b3": [embed_dim],
+            "points": [num_classes, embed_dim], "raw_margins": [num_classes, 1]}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Complete learnable state plus the metadata needed to use it.
 
-    ``raw_margins`` has shape (K, 1); the effective per-class margin is
+    ``tensors`` maps each of ``PARAM_NAMES`` to its array, stored in that
+    order; a missing or extra name is a ValueError.  The read-only
+    ``weights`` are the three (fan_in, fan_out) matrices, ``biases`` the
+    three (fan_out,) vectors, ``reciprocal_points`` is (K, embed_dim)
+    and ``raw_margins`` (K, 1); the effective per-class margin is
     ``softplus(raw_margins)``, which keeps margins positive with live
     gradients.  ``logit_scale`` is fixed (not trained).  ``input_dim``
     and ``embed_dim`` are read off the tensors that define them.
     """
 
-    weights: tuple  # three (fan_in, fan_out) matrices
-    biases: tuple  # three (fan_out,) vectors
-    reciprocal_points: np.ndarray  # (K, embed_dim)
-    raw_margins: np.ndarray  # (K, 1)
+    tensors: dict
     logit_scale: float
     class_names: tuple
+
+    def __post_init__(self):
+        missing = [name for name in PARAM_NAMES if name not in self.tensors]
+        extra = [name for name in self.tensors if name not in PARAM_NAMES]
+        if missing or extra:
+            raise ValueError(f"ModelParams needs the tensors {PARAM_NAMES}; missing {missing}, unexpected {extra}")
+        object.__setattr__(self, "tensors", {name: self.tensors[name] for name in PARAM_NAMES})
+
+    @property
+    def weights(self) -> tuple:
+        return self.tensors["W1"], self.tensors["W2"], self.tensors["W3"]
+
+    @property
+    def biases(self) -> tuple:
+        return self.tensors["b1"], self.tensors["b2"], self.tensors["b3"]
+
+    @property
+    def reciprocal_points(self) -> np.ndarray:
+        return self.tensors["points"]
+
+    @property
+    def raw_margins(self) -> np.ndarray:
+        return self.tensors["raw_margins"]
 
     @property
     def input_dim(self) -> int:
@@ -73,68 +105,38 @@ class ModelParams:
         """Positive per-class margins, shape (K,)."""
         return np.logaddexp(0.0, self.raw_margins).ravel()
 
-    def trainable(self) -> dict:
-        """name -> array for every trainable tensor, in canonical order."""
-        w1, w2, w3 = self.weights
-        b1, b2, b3 = self.biases
-        return {
-            "W1": w1,
-            "b1": b1,
-            "W2": w2,
-            "b2": b2,
-            "W3": w3,
-            "b3": b3,
-            "points": self.reciprocal_points,
-            "raw_margins": self.raw_margins,
-        }
-
-    def with_values(self, values: dict) -> "ModelParams":
-        """New params with trainable arrays replaced (metadata kept)."""
-        return replace(
-            self,
-            weights=(values["W1"], values["W2"], values["W3"]),
-            biases=(values["b1"], values["b2"], values["b3"]),
-            reciprocal_points=values["points"],
-            raw_margins=values["raw_margins"],
-        )
-
 
 def flat_params(params: ModelParams):
     """``(theta, view)``: the trainable tensors copied into one float64
     vector in ``PARAM_NAMES`` order, and ``params`` with each tensor a
     view of that vector, so updating ``theta`` in place updates them."""
-    values = params.trainable()
+    values = params.tensors
     theta = np.concatenate([a.ravel() for a in values.values()])
     ends = np.cumsum([a.size for a in values.values()])
     views = {name: theta[end - a.size : end].reshape(a.shape) for (name, a), end in zip(values.items(), ends)}
-    return theta, params.with_values(views)
+    return theta, replace(params, tensors=views)
 
 
 def init_params(input_dim: int, class_names, config: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """He-initialized extractor, small-normal reciprocal points, margins
-    starting at 1.0."""
+    starting at 1.0; drawn in ``PARAM_NAMES`` order."""
     class_names = tuple(class_names)
-    h1, h2 = config.hidden_dims
-    dims = [int(input_dim), h1, h2, config.embed_dim]
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    points = rng.normal(0.0, 0.1, size=(len(class_names), config.embed_dim))
-    raw_margins = np.full((len(class_names), 1), math.log(math.e - 1.0))  # softplus -> 1.0
-    return ModelParams(
-        weights=tuple(weights),
-        biases=tuple(biases),
-        reciprocal_points=points,
-        raw_margins=raw_margins,
-        logit_scale=float(config.logit_scale),
-        class_names=class_names,
-    )
+    tensors = {}
+    for name, shape in param_shapes(int(input_dim), config.hidden_dims, config.embed_dim, len(class_names)).items():
+        if name.startswith("W"):
+            tensors[name] = rng.normal(0.0, math.sqrt(2.0 / shape[0]), size=shape)
+        elif name == "points":
+            tensors[name] = rng.normal(0.0, 0.1, size=shape)
+        elif name == "raw_margins":
+            tensors[name] = np.full(shape, math.log(math.e - 1.0))  # softplus -> 1.0
+        else:
+            tensors[name] = np.zeros(shape)
+    return ModelParams(tensors, float(config.logit_scale), class_names)
 
 
 def as_leaves(params: ModelParams) -> dict:
     """Fresh autodiff leaves for one forward/backward pass."""
-    return {name: ad.parameter(arr, name=name) for name, arr in params.trainable().items()}
+    return {name: ad.parameter(arr, name=name) for name, arr in params.tensors.items()}
 
 
 # ---------------------------------------------------------------------------

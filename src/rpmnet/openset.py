@@ -8,6 +8,7 @@ falls strictly below the calibrated threshold.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,11 +51,13 @@ class Threshold:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Threshold":
-        return cls(
-            tau=float(d["tau"]),
-            calibration_method=str(d["calibration_method"]),
-            calibration_stats=dict(d["calibration_stats"]),
-        )
+        """Inverse of :meth:`to_dict`; a field of another type, or a ``tau`` that is not finite, is a ValueError."""
+        tau = d.get("tau") if isinstance(d, dict) else None
+        if not (isinstance(tau, (int, float)) and not isinstance(tau, bool) and abs(tau) <= sys.float_info.max
+                and isinstance(d.get("calibration_method"), str) and isinstance(d.get("calibration_stats"), dict)):
+            raise ValueError("a threshold must be an object with a finite number tau, a string calibration_method "
+                             f"and an object calibration_stats, got {d!r}")
+        return cls(float(tau), d["calibration_method"], dict(d["calibration_stats"]))
 
 
 def score(params: mdl.ModelParams, x: np.ndarray) -> ScoredBatch:

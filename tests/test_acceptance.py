@@ -75,7 +75,7 @@ def test_criterion_1_gradient_correctness():
         # the step training runs; the tape is checked against it bit for
         # bit in test_losses and op by op in test_autodiff
         _, analytic = ls.loss_and_grads(params, x, y, cfg)
-        tr = params.trainable()
+        tr = params.tensors
         names = list(tr)
 
         def value():
@@ -103,8 +103,8 @@ def test_criterion_2_loss_value_oracles(rng):
         raw = np.log(np.expm1(np.asarray(margins, dtype=np.float64)))[:, None]
         eye = np.eye(2)
         return mdl.ModelParams(
-            weights=(eye, eye, eye), biases=(np.zeros(2),) * 3,
-            reciprocal_points=points, raw_margins=raw, logit_scale=1.0,
+            tensors=dict(W1=eye, b1=np.zeros(2), W2=eye, b2=np.zeros(2), W3=eye, b3=np.zeros(2),
+                         points=points, raw_margins=raw), logit_scale=1.0,
             class_names=tuple("ab"[: len(margins)]),
         )
 

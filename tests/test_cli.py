@@ -236,6 +236,37 @@ def test_eval_known_class_outside_bundle_vocabulary(workspace, capsys):
     assert not (workspace["dir"] / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+def test_known_rows_of_a_class_the_bundle_lacks_name_both_files(workspace, capsys, command):
+    """A roles file that makes known a class the bundle was not trained
+    on, with rows in the data, stops both commands before any output:
+    calibrate would count those rows as known scores, and eval could not
+    encode their labels."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    roles = workspace["dir"] / "more_known_roles.json"
+    roles.write_text(json.dumps({"known": ["dos", "scan", "bruteforce", "nov_val"], "test_unknown": ["nov_test"]}))
+    out = workspace["dir"] / "result"
+    out_flag = "--out" if command == "calibrate" else "--report"
+    capsys.readouterr()
+    assert main([command, "--bundle", workspace["calibrated"], "--data", workspace["data"],
+                 "--roles", str(roles), out_flag, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --roles {roles} makes known classes that --bundle {workspace['calibrated']} was not trained on "
+        "(labels not in the class vocabulary: 'nov_val'); give them an unknown role, or train a bundle on them\n"
+    )
+    assert not list(workspace["dir"].glob("result*"))
+
+
+def test_a_known_class_without_rows_is_allowed(workspace):
+    run_train(workspace)
+    roles = workspace["dir"] / "absent_roles.json"
+    roles.write_text(json.dumps({"known": ["dos", "scan", "bruteforce", "absent"],
+                                 "validation_unknown": ["nov_val"], "test_unknown": ["nov_test"]}))
+    assert main(["calibrate", "--bundle", workspace["bundle"], "--data", workspace["data"],
+                 "--roles", str(roles), "--out", workspace["calibrated"]]) == 0
+
+
 def test_eval_writes_report(workspace, capsys):
     run_train(workspace)
     run_calibrate(workspace)
@@ -316,6 +347,21 @@ def test_score_schema_mismatch_lists_columns(workspace, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "f2" in err and "f3" in err and "wrong" in err
+
+
+def test_csv_header_errors_name_the_csv(workspace, capsys):
+    run_train(workspace)
+    run_calibrate(workspace)
+    missing, twice = workspace["dir"] / "missing.csv", workspace["dir"] / "twice.csv"
+    missing.write_text("f0,f2,f3,label\n1.0,2.0,3.0,dos\n")
+    twice.write_text("f0,f1,f2,f3,f1,label\n1.0,2.0,3.0,4.0,5.0,dos\n")
+    capsys.readouterr()
+    out = workspace["dir"] / "out"
+    assert main(["score", "--bundle", workspace["calibrated"], "--data", str(missing), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: missing columns: f1; other columns: label\n"
+    assert main(["train", "--data", str(twice), "--roles", workspace["roles"], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {twice}: duplicated columns: f1; rename or drop the repeated columns\n"
+    assert not out.exists()
 
 
 def test_score_rejects_duplicated_columns(workspace, capsys):
@@ -628,7 +674,19 @@ def test_train_roles_feature_named_twice_is_an_error(workspace, capsys, feature_
     rc = main(["train", "--data", workspace["data"], "--roles", str(path), "--config", workspace["config"],
                "--out", workspace["bundle"]])
     assert rc == 1
-    assert f"error: columns named more than once: {named}; " in capsys.readouterr().err
+    assert f"error: {path}: roles key 'feature_names': {named!r} " in capsys.readouterr().err
+    assert not (workspace["dir"] / "model.bundle").exists()
+
+
+def test_train_known_class_with_one_row_is_an_error(workspace, capsys):
+    lines = (workspace["dir"] / "flows.csv").read_text().splitlines()
+    one = workspace["dir"] / "one_scan.csv"
+    scan = [line for line in lines if line.endswith(",scan")]
+    one.write_text("\n".join([line for line in lines if not line.endswith(",scan")] + scan[:1]) + "\n")
+    capsys.readouterr()
+    assert main(["train", "--data", str(one), "--roles", workspace["roles"], "--config", workspace["config"],
+                 "--out", workspace["bundle"]]) == 1
+    assert capsys.readouterr().err == "error: known class 'scan' needs at least 2 samples, has 1\n"
     assert not (workspace["dir"] / "model.bundle").exists()
 
 

@@ -936,6 +936,12 @@ def test_split_known_class_needs_two_samples():
         dio.make_split(["a", "b", "b"], dio.ClassRoles(known=("a", "b")), seed=0)
 
 
+def test_split_known_class_with_one_row_names_it():
+    labels = ["a", "a", "x", "b", "b", "b"]
+    with pytest.raises(ValueError, match=r"^known class 'x' needs at least 2 samples, has 1$"):
+        dio.make_split(labels, dio.ClassRoles(known=("a", "b", "x")), seed=0)
+
+
 def test_roles_overlap_rejected():
     with pytest.raises(dio.RolesError, match="both"):
         dio.ClassRoles(known=("a",), validation_unknown=("a",))
@@ -948,6 +954,26 @@ def test_roles_class_listed_twice_in_one_role(tmp_path, role):
         dio.ClassRoles(**{key: tuple(v) for key, v in doc.items()})
     with pytest.raises(dio.RolesError, match=f"class 'a' listed more than once in {role}$"):
         dio.load_roles(write(tmp_path / "roles.json", json.dumps(doc)))
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"known": ["a", "a"]}, "class 'a' listed more than once in known"),
+        ({"known": ["a"], "test_unknown": ["a"]}, "class 'a' assigned to both known and test_unknown"),
+        ({"known": ["a"], "feature_names": ["f0", "f1", "f0"]},
+         "roles key 'feature_names': 'f0' is listed more than once; "
+         "list each feature column once, and not the label column"),
+        ({"known": ["a"], "label_column": "y", "feature_names": ["f0", "y"]},
+         "roles key 'feature_names': 'y' is the label column; list each feature column once, and not the label column"),
+    ],
+    ids=["repeated-in-known", "known-and-test-unknown", "feature-repeated", "feature-is-the-label"],
+)
+def test_roles_file_errors_name_the_file(tmp_path, doc, message):
+    path = write(tmp_path / "roles.json", json.dumps(doc))
+    with pytest.raises(dio.RolesError) as info:
+        dio.load_roles(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_roles_file_round_trip(tmp_path):
@@ -1047,9 +1073,22 @@ def test_bundle_round_trip_byte_identical(tmp_path):
     assert loaded.threshold.tau == 1.25
     assert loaded.params.class_names == ("alpha", "beta")
     assert loaded.config == bundle.config
-    for name, arr in bundle.params.trainable().items():
-        assert np.array_equal(arr, loaded.params.trainable()[name])
+    for name, arr in bundle.params.tensors.items():
+        assert np.array_equal(arr, loaded.params.tensors[name])
     assert np.array_equal(loaded.scaler.mean, bundle.scaler.mean)
+
+
+def test_tensors_in_any_order_are_stored_in_param_order(tmp_path):
+    """ModelParams keeps its tensors in PARAM_NAMES order whatever order
+    they are given in, so the flat vector and the bundle bytes do not
+    depend on it."""
+    bundle = tiny_bundle(threshold=_THRESHOLD)
+    reverse = dataclasses.replace(bundle.params, tensors=dict(reversed(bundle.params.tensors.items())))
+    assert tuple(reverse.tensors) == mdl.PARAM_NAMES
+    assert mdl.flat_params(reverse)[0].tobytes() == mdl.flat_params(bundle.params)[0].tobytes()
+    dio.save_bundle(tmp_path / "init.bundle", bundle)
+    dio.save_bundle(tmp_path / "reverse.bundle", dataclasses.replace(bundle, params=reverse))
+    assert (tmp_path / "reverse.bundle").read_bytes() == (tmp_path / "init.bundle").read_bytes()
 
 
 def test_bundle_without_threshold(tmp_path):

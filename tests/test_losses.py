@@ -18,10 +18,8 @@ def params_with(points, margins):
     raw = np.log(np.expm1(np.asarray(margins, dtype=np.float64)))[:, None]
     eye = np.eye(m)
     return mdl.ModelParams(
-        weights=(eye.copy(), eye.copy(), eye.copy()),
-        biases=(np.zeros(m),) * 3,
-        reciprocal_points=points,
-        raw_margins=raw,
+        tensors=dict(W1=eye.copy(), b1=np.zeros(m), W2=eye.copy(), b2=np.zeros(m), W3=eye.copy(), b3=np.zeros(m),
+                     points=points, raw_margins=raw),
         logit_scale=1.0,
         class_names=tuple(f"c{i}" for i in range(k)),
     )
@@ -207,7 +205,7 @@ def test_fisher_weight_zero_reduces_to_base_objective(rng):
 
 def test_total_gradient_matches_finite_differences(rng):
     params, x, y, cfg = random_problem(rng, n=6, d=4, k=3)
-    tr = params.trainable()
+    tr = params.tensors
     names = list(tr)
 
     def value():
@@ -226,7 +224,7 @@ def test_total_gradient_with_dropout_masks(rng):
     params, x, y, _ = random_problem(rng, n=5, d=4, k=2, cfg=small_config())
     keep = 0.5
     masks = tuple((rng.random((5, h)) < keep) / keep for h in (8, 6))
-    tr = params.trainable()
+    tr = params.tensors
     names = list(tr)
 
     def value():

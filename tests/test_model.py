@@ -1,4 +1,6 @@
 import gc
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +23,10 @@ def identity_params(d, class_names, points):
     """d-dim input, d-dim hiddens and embedding, identity weights."""
     eye = np.eye(d)
     return mdl.ModelParams(
-        weights=(eye.copy(), eye.copy(), eye.copy()),
-        biases=(np.zeros(d), np.zeros(d), np.zeros(d)),
-        reciprocal_points=np.asarray(points, dtype=np.float64),
-        raw_margins=np.full((len(points), 1), np.log(np.e - 1.0)),
+        tensors=dict(
+            W1=eye.copy(), b1=np.zeros(d), W2=eye.copy(), b2=np.zeros(d), W3=eye.copy(), b3=np.zeros(d),
+            points=np.asarray(points, dtype=np.float64), raw_margins=np.full((len(points), 1), np.log(np.e - 1.0)),
+        ),
         logit_scale=1.0,
         class_names=tuple(class_names),
     )
@@ -36,7 +38,7 @@ def identity_params(d, class_names, points):
 
 def test_embed_all_zero_params_gives_zero():
     p = identity_params(3, ["a"], [[1.0, 0.0, 0.0]])
-    zeroed = p.with_values({k: np.zeros_like(v) for k, v in p.trainable().items()})
+    zeroed = replace(p, tensors={k: np.zeros_like(v) for k, v in p.tensors.items()})
     out = mdl.embed(zeroed, np.array([[1.0, -2.0, 3.0]]))
     assert np.array_equal(out, np.zeros((1, 3)))
 
@@ -140,7 +142,7 @@ def test_inference_is_bit_identical_to_tape(n, rng):
     p = mdl.init_params(5, ["a", "b", "c"], cfg, rng)
     b1 = -np.abs(rng.normal(size=8))
     b1[0] = -0.0
-    p = p.with_values(dict(p.trainable(), b1=b1, b2=rng.normal(size=6), b3=rng.normal(size=4)))
+    p = replace(p, tensors=dict(p.tensors, b1=b1, b2=rng.normal(size=6), b3=rng.normal(size=4)))
     x = rng.normal(size=(n, 5))
     if n:
         x[0] = -0.0  # every layer-1 pre-activation of this row is <= 0
@@ -171,7 +173,7 @@ def test_class_distances_do_not_depend_on_the_call(n):
 )
 def test_class_distances_overflow_raises(row):
     p = identity_params(2, ["a"], [[1.0, 1.0]])
-    p = p.with_values(dict(p.trainable(), W1=2.0 * np.eye(2)))
+    p = replace(p, tensors=dict(p.tensors, W1=2.0 * np.eye(2)))
     with pytest.raises(ad.NonFiniteError):
         mdl.class_distances(p, np.array([row]))
 
@@ -217,8 +219,7 @@ def test_logits_permutation_equivariant(rng):
     perm = [2, 0, 1]
     permuted = dataclasses.replace(
         p,
-        reciprocal_points=p.reciprocal_points[perm],
-        raw_margins=p.raw_margins[perm],
+        tensors=dict(p.tensors, points=p.reciprocal_points[perm], raw_margins=p.raw_margins[perm]),
         class_names=tuple(p.class_names[i] for i in perm),
     )
     x = rng.normal(size=(8, 4))
@@ -240,8 +241,29 @@ def test_init_is_finite_and_shaped(rng):
     assert p.reciprocal_points.shape == (3, 5)
     assert p.raw_margins.shape == (3, 1)
     assert [w.shape for w in p.weights] == [(7, 16), (16, 8), (8, 5)]
-    for arr in p.trainable().values():
+    for arr in p.tensors.values():
         assert np.all(np.isfinite(arr))
+
+
+@pytest.mark.parametrize("dims", [(7, (16, 8), 5, 3), (78, (128, 64), 32, 5)])
+def test_init_shapes_are_param_shapes(dims):
+    d, hidden, e, k = dims
+    p = mdl.init_params(d, [f"c{i}" for i in range(k)], small_config(hidden_dims=hidden, embed_dim=e),
+                        np.random.default_rng(0))
+    shapes = mdl.param_shapes(d, hidden, e, k)
+    assert tuple(shapes) == mdl.PARAM_NAMES
+    assert {name: list(a.shape) for name, a in p.tensors.items()} == shapes
+
+
+@pytest.mark.parametrize(
+    "change,named", [(lambda t: t.pop("b2"), "missing ['b2']"), (lambda t: t.update(W4=t["W3"]), "unexpected ['W4']")]
+)
+def test_params_need_exactly_the_param_names(change, named):
+    p = identity_params(2, ["a"], [[1.0, 0.0]])
+    tensors = dict(p.tensors)
+    change(tensors)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        replace(p, tensors=tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,29 @@ import rpmnet.openset as osr
 from rpmnet.config import TrainConfig
 
 
+def test_threshold_from_dict_inverts_to_dict():
+    thr = osr.Threshold(tau=-2.5, calibration_method="max-unknown-f1", calibration_stats={"f1": 0.75})
+    assert osr.Threshold.from_dict(thr.to_dict()) == thr
+    assert osr.Threshold.from_dict(dict(thr.to_dict(), tau=3)).tau == 3.0
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"tau": "1.0", "calibration_method": "max-unknown-f1", "calibration_stats": {}},
+    {"tau": 10**400, "calibration_method": "max-unknown-f1", "calibration_stats": {}},
+], ids=["list", "string-tau", "tau-past-float-range"])
+def test_threshold_from_dict_rejects_other_types(doc):
+    with pytest.raises(ValueError, match="finite number tau"):
+        osr.Threshold.from_dict(doc)
+
+
 def identity_params(points):
     points = np.asarray(points, dtype=np.float64)
     k, m = points.shape
     eye = np.eye(m)
     return mdl.ModelParams(
-        weights=(eye.copy(), eye.copy(), eye.copy()),
-        biases=(np.zeros(m),) * 3,
-        reciprocal_points=points,
-        raw_margins=np.full((k, 1), np.log(np.e - 1.0)),
+        tensors=dict(W1=eye.copy(), b1=np.zeros(m), W2=eye.copy(), b2=np.zeros(m), W3=eye.copy(), b3=np.zeros(m),
+                     points=points, raw_margins=np.full((k, 1), np.log(np.e - 1.0))),
         logit_scale=1.0,
         class_names=tuple(f"c{i}" for i in range(k)),
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,7 @@ def reference_train(x, labels, config):
     y = encode_labels(labels, class_names)
     rng = np.random.default_rng(config.seed)
     params = mdl.init_params(x.shape[1], class_names, config, rng)
-    values = params.trainable()
+    values = params.tensors
     m = {k: np.zeros_like(a) for k, a in values.items()}
     v = {k: np.zeros_like(a) for k, a in values.items()}
     b1, b2, keep = config.adam_beta1, config.adam_beta2, 1.0 - config.dropout_rate
@@ -199,7 +201,7 @@ def reference_train(x, labels, config):
                 v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
                 m_hat, v_hat = m[k] / (1.0 - b1 ** t), v[k] / (1.0 - b2 ** t)
                 values[k] = values[k] - config.lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-            params = params.with_values(values)
+            params = replace(params, tensors=values)
             stats.append(breakdown)
         preds = np.argmax(mdl.class_distances(params, x), axis=1)
         terms = [float(np.mean([getattr(b, f) for b in stats])) for f in ("ce", "margin", "fisher", "total")]
@@ -228,8 +230,8 @@ def test_flat_state_matches_per_tensor_adam(overrides):
     params, history = train(data.features, data.labels, cfg)
     ref_params, ref_history = reference_train(data.features, data.labels, cfg)
     assert format_history(history) == format_history(ref_history) and history == ref_history
-    for name, arr in ref_params.trainable().items():
-        assert params.trainable()[name].tobytes() == arr.tobytes(), name
+    for name, arr in ref_params.tensors.items():
+        assert params.tensors[name].tobytes() == arr.tobytes(), name
 
 
 def test_zero_epochs_returns_initialization_exactly():
@@ -238,8 +240,8 @@ def test_zero_epochs_returns_initialization_exactly():
     params, history = train(data.features, data.labels, cfg)
     assert history == []
     reference = mdl.init_params(2, ("neg", "pos"), cfg, np.random.default_rng(cfg.seed))
-    for name, arr in params.trainable().items():
-        assert np.array_equal(arr, reference.trainable()[name]), name
+    for name, arr in params.tensors.items():
+        assert np.array_equal(arr, reference.tensors[name]), name
 
 
 def test_training_is_bit_deterministic():
@@ -248,8 +250,8 @@ def test_training_is_bit_deterministic():
     p1, h1 = train(data.features, data.labels, cfg)
     p2, h2 = train(data.features, data.labels, cfg)
     assert h1 == h2
-    for name, arr in p1.trainable().items():
-        assert np.array_equal(arr, p2.trainable()[name]), name
+    for name, arr in p1.tensors.items():
+        assert np.array_equal(arr, p2.tensors[name]), name
 
 
 def test_blob_fixture_reaches_perfect_accuracy():
