@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import hashlib
-import itertools
 import logging
 import os
 import sys
@@ -126,6 +125,41 @@ def _require_samples(found, role, args) -> None:
         )
 
 
+@contextlib.contextmanager
+def _naming_labels(args):
+    """Turn a ValueError about the classes of ``--data`` under ``--roles``
+    (a class with no role, a known class with too few rows) into a
+    CliError that names both files."""
+    try:
+        yield
+    except ValueError as e:
+        raise CliError(f"--data {args.data} with --roles {args.roles}: {e}") from None
+
+
+def _checked_roles(blocks, bundle, roles, args):
+    """Pass on each (features, labels, dropped) block of ``--data`` once
+    its labels are checked, so a roles mistake stops the command before
+    that block is scored.  A label with no role, or a known-role label
+    that the bundle was not trained on, is a CliError listing every such
+    class seen so far."""
+    seen = set()
+    for block in blocks:
+        if not seen.issuperset(block[1]):
+            seen.update(block[1])
+            names = sorted(seen)
+            with _naming_labels(args):
+                role_of = roles.roles_of(names)
+            untrained = [name for name, role in zip(names, role_of)
+                         if role == dataio.ROLE_KNOWN and name not in bundle.params.class_names]
+            if untrained:
+                raise CliError(
+                    f"--roles {args.roles} makes known classes that --bundle {args.bundle} was not trained on "
+                    f"(labels not in the class vocabulary: {', '.join(map(repr, untrained))}); "
+                    "give them an unknown role, or train a bundle on them"
+                )
+        yield block
+
+
 def _score_blocks(bundle, blocks):
     """Yield (ScoredBatch, rows, dropped) for each (features, rows, dropped)
     block of a CSV; each block's features are scaled in place."""
@@ -137,20 +171,15 @@ def _score_labelled(bundle, roles, args):
     """Score the labelled CSV ``--data`` block by block, never holding its
     feature matrix, and split its kept rows.  Returns each kept row's
     label, score, argmax and ``make_split`` code, and the manifest's drop
-    count and partition sizes.  A class with known-train or known-test
-    rows that the bundle was not trained on is a CliError."""
+    count and partition sizes.  Each block's labels are checked against
+    ``--roles`` and the bundle before it is scored (:func:`_checked_roles`)."""
     blocks = dataio.iter_labelled_blocks(args.data, bundle.feature_names, bundle.label_column)
-    next(blocks)  # the feature names, which are the bundle's
-    scored, labels, dropped = zip(*_score_blocks(bundle, blocks))
+    with contextlib.closing(blocks):
+        next(blocks)  # the feature names, which are the bundle's
+        scored, labels, dropped = zip(*_score_blocks(bundle, _checked_roles(blocks, bundle, roles, args)))
     labels = [label for block in labels for label in block]
-    part = dataio.make_split(labels, roles, seed=bundle.config.seed)
-    untrained = sorted(set(itertools.compress(labels, (part <= 1).tolist())) - set(bundle.params.class_names))
-    if untrained:
-        raise CliError(
-            f"--roles {args.roles} makes known classes that --bundle {args.bundle} was not trained on "
-            f"(labels not in the class vocabulary: {', '.join(map(repr, untrained))}); "
-            "give them an unknown role, or train a bundle on them"
-        )
+    with _naming_labels(args):
+        part = dataio.make_split(labels, roles, seed=bundle.config.seed)
     sizes = np.bincount(part, minlength=4).tolist()
     extra = {"dropped_rows": sum(dropped), "partition_rows": dict(zip(PARTITIONS, sizes))}
     scores = np.concatenate([s.scores for s in scored])
@@ -167,7 +196,8 @@ def cmd_train(args, open_output):
     config = _load_train_config(args.config, args.seed)
     roles = dataio.load_roles(args.roles)
     dataset, dropped = dataio.load_csv(args.data, roles.feature_names, roles.label_column)
-    keep = np.flatnonzero(dataio.make_split(dataset.labels, roles, seed=config.seed) == 0)
+    with _naming_labels(args):
+        keep = np.flatnonzero(dataio.make_split(dataset.labels, roles, seed=config.seed) == 0)
     _require_samples(keep.size, dataio.ROLE_KNOWN, args)
     features, labels, feature_names = dataset.features, [dataset.labels[i] for i in keep], dataset.feature_names
     del dataset  # only the known-train rows reach training

@@ -629,6 +629,18 @@ class ClassRoles:
             return ROLE_TEST_UNKNOWN
         return self.default
 
+    def roles_of(self, class_names) -> list:
+        """The role of each of ``class_names``; any class without one is
+        a RolesError that names every such class, in the given order."""
+        roles = [self.role_of(name) for name in class_names]
+        unassigned = [name for name, role in zip(class_names, roles) if role is None]
+        if unassigned:
+            raise RolesError(
+                "classes present in the data but missing from the roles config: "
+                + ", ".join(repr(n) for n in unassigned)
+            )
+        return roles
+
 
 @contextlib.contextmanager
 def _naming(tmp, path):
@@ -785,13 +797,7 @@ def make_split(labels, roles: ClassRoles, ratio: float = 0.8, seed: int = 0) -> 
     if not 0.0 < ratio < 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     names = sorted(set(labels))
-    role_of = [roles.role_of(name) for name in names]
-    unassigned = [name for name, role in zip(names, role_of) if role is None]
-    if unassigned:
-        raise RolesError(
-            "classes present in the data but missing from the roles config: "
-            + ", ".join(repr(n) for n in unassigned)
-        )
+    role_of = roles.roles_of(names)
 
     rng = np.random.default_rng(seed)
     codes = encode_labels(labels, names)

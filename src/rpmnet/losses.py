@@ -148,17 +148,31 @@ def total_loss(
 # fused training step
 
 
+def step_buffers(rows: int, hidden_dims) -> tuple:
+    """The arrays :func:`loss_and_grads` runs a batch of at most ``rows``
+    rows in: each hidden layer's activation, then the gradient of each."""
+    return tuple(np.empty((rows, h)) for h in (*hidden_dims, *hidden_dims))
+
+
 def loss_and_grads(
     params: mdl.ModelParams,
     x: np.ndarray,
     labels,
     config: TrainConfig,
     dropout_masks=None,
+    out=None,
+    work=None,
 ):
     """Loss breakdown and d(total)/d(parameter) for one batch.
 
     Returns ``(LossBreakdown, {name: gradient})`` in ``PARAM_NAMES``
-    order, bit-identical to :func:`total_loss` + ``autodiff.gradient``:
+    order.  Each gradient is written into ``out[name]`` when ``out`` maps
+    the names to arrays of the parameters' shapes (views of one flat
+    vector, in training), and into a new array otherwise.  ``work`` is
+    :func:`step_buffers` for at least ``len(x)`` rows (allocated here
+    when not given); the hidden activations and their gradients are
+    computed in it.  The values are bit-identical to
+    :func:`total_loss` + ``autodiff.gradient``:
     every expression below is the tape op's own, and a node fed by
     several consumers sums their contributions in the tape's order.
     Broadcast gradients are reduced with the tape's own
@@ -173,10 +187,12 @@ def loss_and_grads(
     scale = float(params.logit_scale)
     cw, mw, fw = config.ce_weight, config.margin_weight, config.fisher_weight
 
+    if work is None:
+        work = step_buffers(n, [w.shape[1] for w in params.weights[:2]])
+    r1, r2, g_r1, g_r2 = (buf[:n] for buf in work)
+
     # ---- forward
-    hidden = []
-    z = mdl.forward_embed(params, x, dropout_masks, hidden)
-    r1, r2 = hidden
+    z = mdl.forward_embed(params, x, dropout_masks, (r1, r2))
     dist, (row_sq, col_sq, cross, z_norm, p_norm, denom) = mdl.forward_distances(z, p, m)
     logit = mdl.check_finite("logits", dist * scale)
 
@@ -220,46 +236,50 @@ def loss_and_grads(
     g_row_sq = g_row_sq + g_denom @ p_norm * (0.5 / z_norm) * (row_sq > floor)
     g_col_sq = ad._unbroadcast(g_sq, (1, k)).T
     g_col_sq = g_col_sq + (z_norm.T @ g_denom).T * (0.5 / p_norm) * (col_sq > floor)
-    g_points = (z.T @ g_cross).T
-    g_points = g_points + np.broadcast_to(g_col_sq, p.shape) * (2.0 * p)
+    if out is None:
+        out = {name: np.empty_like(a) for name, a in params.tensors.items()}
+    g_points = out["points"]
+    np.add((z.T @ g_cross).T, g_col_sq * (2.0 * p), out=g_points)
     g_z = g_cross @ p
-    g_z = g_z + np.broadcast_to(g_row_sq, z.shape) * (2.0 * z)
+    g_z += g_row_sq * (2.0 * z)
 
     # margin hinge
-    g_hinge = np.broadcast_to(np.full((1, 1), mw) / n, (n, 1)) * (hinge > 0.0)
-    g_d = np.broadcast_to(g_hinge / float(m), d.shape) * (2.0 * d)
-    g_z = g_z + g_d
-    g_points = g_points + onehot.T @ -g_d
+    g_hinge = np.full((1, 1), mw) / n * (hinge > 0.0)
+    g_d = g_hinge / float(m) * (2.0 * d)
+    g_z += g_d
+    g_points += onehot.T @ -g_d
     raw = params.raw_margins
     sigmoid = np.where(
         raw >= 0.0,
         1.0 / (1.0 + np.exp(-np.abs(raw))),
         np.exp(-np.abs(raw)) / (1.0 + np.exp(-np.abs(raw))),
     )
-    g_raw_margins = (onehot.T @ -g_hinge) * sigmoid
+    np.multiply(onehot.T @ -g_hinge, sigmoid, out=out["raw_margins"])
 
     # Fisher ratio
     g_one_plus = -fw * 1.0 / (one_plus * one_plus)
     g_between = g_one_plus / within_eps
     g_within = -g_one_plus * between / (within_eps * within_eps)
-    g_gd = np.broadcast_to(np.reshape(g_between, (1, 1)), gd.shape) * counts[:, None] * (2.0 * gd)
-    g_z = g_z + global_sel.T @ ad._unbroadcast(-g_gd, (1, m))
-    g_dev = np.broadcast_to(np.reshape(g_within, (1, 1)), dev.shape) * (2.0 * dev)
-    g_z = g_z + g_dev
-    g_z = g_z + mean_sel.T @ (g_gd + onehot.T @ -g_dev)
+    g_gd = np.reshape(g_between, (1, 1)) * counts[:, None] * (2.0 * gd)
+    g_z += global_sel.T @ ad._unbroadcast(-g_gd, (1, m))
+    g_dev = np.reshape(g_within, (1, 1)) * (2.0 * dev)
+    g_z += g_dev
+    g_z += mean_sel.T @ (g_gd + onehot.T @ -g_dev)
 
     # MLP, output layer first
-    grads = {"W3": r2.T @ g_z, "b3": g_z.sum(axis=0), "points": g_points, "raw_margins": g_raw_margins}
+    np.matmul(r2.T, g_z, out=out["W3"])
+    np.add.reduce(g_z, axis=0, out=out["b3"])
     g = g_z
-    for layer, inputs, out in ((2, r1, r2), (1, x, r1)):
-        g = g @ params.weights[layer].T * (out > 0.0)
+    for layer, inputs, act, g_in in ((2, r1, r2, g_r2), (1, x, r1, g_r1)):
+        g = np.matmul(g, params.weights[layer].T, out=g_in)
+        g *= act > 0.0
         if dropout_masks is not None:
-            g = g * dropout_masks[layer - 1]
-        grads[f"W{layer}"] = inputs.T @ g
-        grads[f"b{layer}"] = g.sum(axis=0)
+            g *= dropout_masks[layer - 1]
+        np.matmul(inputs.T, g, out=out[f"W{layer}"])
+        np.add.reduce(g, axis=0, out=out[f"b{layer}"])
 
     breakdown = LossBreakdown(ce=float(ce), margin=float(margin), fisher=float(fisher), total=float(total))
-    return breakdown, {name: mdl.check_finite(f"gradient of {name}", grads[name]) for name in mdl.PARAM_NAMES}
+    return breakdown, {name: mdl.check_finite(f"gradient of {name}", out[name]) for name in mdl.PARAM_NAMES}
 
 
 # ---------------------------------------------------------------------------

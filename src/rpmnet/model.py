@@ -198,13 +198,14 @@ def forward_embed(params: ModelParams, x: np.ndarray, dropout_masks=None, hidden
     """The float operations of :func:`embed_graph` on plain arrays.
 
     Each pre-ReLU array is checked for NaN/Inf before ReLU could mask
-    it.  When ``hidden`` is a list, the two post-ReLU activations are
-    appended to it (the training backward reads them); otherwise each is
-    dropped once the next layer has used it.
+    it.  When ``hidden`` is given, it holds one array per hidden layer,
+    of shape ``(len(x), width)``, and each layer's activation is computed
+    in its array (the training backward reads them there); otherwise each
+    is dropped once the next layer has used it.
     """
     h = x
     for layer, (w, b) in enumerate(zip(params.weights[:2], params.biases[:2])):
-        h = h @ w
+        h = np.matmul(h, w, out=None if hidden is None else hidden[layer])
         h += b
         if dropout_masks is not None:
             h *= dropout_masks[layer]
@@ -214,8 +215,6 @@ def forward_embed(params: ModelParams, x: np.ndarray, dropout_masks=None, hidden
         # adding +0.0 turns that into +0.0 while leaving all else as is
         np.maximum(h, 0.0, out=h)
         h += 0.0
-        if hidden is not None:
-            hidden.append(h)
     z = h @ params.weights[2]
     z += params.biases[2]
     return check_finite("embedding", z)

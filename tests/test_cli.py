@@ -686,8 +686,68 @@ def test_train_known_class_with_one_row_is_an_error(workspace, capsys):
     capsys.readouterr()
     assert main(["train", "--data", str(one), "--roles", workspace["roles"], "--config", workspace["config"],
                  "--out", workspace["bundle"]]) == 1
-    assert capsys.readouterr().err == "error: known class 'scan' needs at least 2 samples, has 1\n"
+    assert capsys.readouterr().err == (
+        f"error: --data {one} with --roles {workspace['roles']}: known class 'scan' needs at least 2 samples, has 1\n"
+    )
     assert not (workspace["dir"] / "model.bundle").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "eval"])
+def test_a_class_missing_from_the_roles_names_both_files(workspace, capsys, command):
+    run_train(workspace)
+    run_calibrate(workspace)
+    roles = workspace["dir"] / "short_roles.json"
+    roles.write_text(json.dumps({"known": ["dos", "scan", "bruteforce"]}))
+    out = workspace["dir"] / "result"
+    argv = {"train": ["--config", workspace["config"], "--out"], "calibrate": ["--bundle", workspace["bundle"], "--out"],
+            "eval": ["--bundle", workspace["calibrated"], "--report"]}[command]
+    capsys.readouterr()
+    assert main([command, "--data", workspace["data"], "--roles", str(roles), *argv, str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --data {workspace['data']} with --roles {roles}: "
+        "classes present in the data but missing from the roles config: 'nov_test', 'nov_val'\n"
+    )
+    assert not list(workspace["dir"].glob("result*"))
+
+
+ROLES_MISTAKES = {
+    "no-role": ({"known": ["dos", "scan", "bruteforce"]},
+                "{data} with --roles {roles}: classes present in the data but missing from the roles config: {classes}\n"),
+    "untrained-known": ({"known": ["dos", "scan", "bruteforce", "nov_val", "nov_test"]},
+                        "--roles {roles} makes known classes that --bundle {bundle} was not trained on "
+                        "(labels not in the class vocabulary: {classes}); "),
+}
+
+
+@pytest.mark.parametrize("mistake", list(ROLES_MISTAKES))
+@pytest.mark.parametrize("command", ["calibrate", "eval"])
+@pytest.mark.parametrize("block_rows", [1024, 64], ids=["first-block", "third-block"])
+def test_a_roles_mistake_stops_scoring_at_its_block(workspace, capsys, monkeypatch, command, mistake, block_rows):
+    """calibrate and eval check each block's labels before they score it.
+    The fixture's rows run dos, scan, bruteforce, nov_val, nov_test: in one
+    block nothing is scored and the error names both unknown classes; in
+    64-row blocks the first nov_val row is in the third block, so two
+    blocks are scored and the error names only nov_val, the one seen so
+    far.  No output is written."""
+    run_train(workspace)
+    run_calibrate(workspace)
+    raw, message = ROLES_MISTAKES[mistake]
+    roles = workspace["dir"] / "mistaken_roles.json"
+    roles.write_text(json.dumps(raw))
+    bundle = workspace["calibrated"]
+    out = workspace["dir"] / "result"
+    scored = []
+    real_score = osr.score
+    monkeypatch.setattr(osr, "score", lambda *a: scored.append(None) or real_score(*a))
+    monkeypatch.setattr(dio, "BLOCK_ROWS", block_rows)
+    out_flag = "--out" if command == "calibrate" else "--report"
+    capsys.readouterr()
+    assert main([command, "--bundle", bundle, "--data", workspace["data"], "--roles", str(roles),
+                 out_flag, str(out)]) == 1
+    classes = "'nov_test', 'nov_val'" if block_rows == 1024 else "'nov_val'"
+    assert message.format(data=workspace["data"], roles=roles, bundle=bundle, classes=classes) in capsys.readouterr().err
+    assert len(scored) == (0 if block_rows == 1024 else 2)
+    assert not list(workspace["dir"].glob("result*"))
 
 
 def _with_oversized_cell(ws, line_no):
@@ -1100,3 +1160,31 @@ def test_train_past_a_file_size_limit_keeps_the_previous_bundle(workspace):
     assert bundle.read_bytes() == before
     assert not list(workspace["dir"].glob("*.tmp"))
     dio.load_bundle(bundle)
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """`rpmnet train` with the default architecture writes the same bundle
+    and history with 1 and with 2 BLAS threads: each epoch's accuracy pass
+    runs beside the next epoch's steps on a copy of the parameters, and
+    no product changes shape with the thread count.  The products here
+    are large enough for OpenBLAS to split them over threads."""
+    rng = np.random.default_rng(17)
+    ds = gaussian_clusters(rng.normal(size=(3, 40)), [160, 160, 160], 1.0, rng, class_names=["a", "b", "c"])
+    data, roles, config = tmp_path / "flows.csv", tmp_path / "roles.json", tmp_path / "train.json"
+    dio.save_csv(data, ds)
+    roles.write_text(json.dumps({"known": ["a", "b", "c"]}))
+    config.write_text(json.dumps({"epochs": 3}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.bundle"
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1",
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)}
+        child = subprocess.run(
+            [sys.executable, "-m", "rpmnet.cli", "train", "--data", str(data), "--roles", str(roles),
+             "--config", str(config), "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs.append((out.read_bytes(), Path(f"{out}.history.txt").read_bytes()))
+    assert outputs[0] == outputs[1]

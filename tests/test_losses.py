@@ -284,3 +284,36 @@ def test_fused_step_is_bit_identical_to_tape(case, rng):
         for name in mdl.PARAM_NAMES:
             assert grads[name].shape == ref[name].shape, name
             assert grads[name].tobytes() == ref[name].tobytes(), name
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_fused_step_writes_into_the_buffers_it_is_given(case, rng):
+    """With ``out=`` views of one flat vector and ``work=`` buffers of more
+    rows than the batch, both filled with NaN beforehand, the returned
+    gradients are those views and hold the bytes of the call that
+    allocates its own arrays."""
+    spec = FUSED_CASES[case]
+    for _ in range(10):
+        h1, h2, m, d = (int(v) for v in rng.integers(1, 12, size=4))
+        n, k = spec.get("n", int(rng.integers(2, 40))), spec.get("k", 3)
+        cfg = small_config(hidden_dims=(h1, h2), embed_dim=m, **spec.get("cfg", {}))
+        params = mdl.init_params(d, [f"c{i}" for i in range(k)], cfg, rng)
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, spec.get("labels_below", k), size=n)
+        masks = None
+        if spec.get("dropout"):
+            masks = tuple((rng.random((n, h)) < 0.6) / 0.6 for h in (h1, h2))
+
+        flat, views = mdl.flat_params(params)
+        flat[:] = np.nan
+        work = ls.step_buffers(n + 3, (h1, h2))
+        for buf in work:
+            buf[:] = np.nan
+        bd, grads = ls.loss_and_grads(params, x, y, cfg, masks, out=views.tensors, work=work)
+        ref_bd, ref = ls.loss_and_grads(params, x, y, cfg, masks)
+        assert breakdown_bytes(bd) == breakdown_bytes(ref_bd)
+        assert list(grads) == list(mdl.PARAM_NAMES)
+        for name in mdl.PARAM_NAMES:
+            assert grads[name] is views.tensors[name], name
+            assert grads[name].tobytes() == ref[name].tobytes(), name
+        assert flat.tobytes() == np.concatenate([ref[name].ravel() for name in mdl.PARAM_NAMES]).tobytes()

@@ -1,15 +1,17 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import rpmnet.autodiff as ad
 import rpmnet.losses as losses
 import rpmnet.model as mdl
 from rpmnet.config import TrainConfig
 from rpmnet.dataio import encode_labels
 from rpmnet.synthetic import gaussian_clusters
 from rpmnet.train import (
-    _ADAM_BLOCK,
     EpochStats,
     TrainingDivergedError,
     adam_step,
@@ -146,9 +148,9 @@ def test_adam_identical_histories_identical_updates(rng):
 
 
 def test_adam_in_blocks_has_the_bits_of_the_whole_vector_update(rng):
-    """adam_step works through the vector a block at a time; each element,
-    also across block edges, gets the bits of the whole-vector update."""
-    n = 2 * _ADAM_BLOCK + 5
+    """On a vector of more than 16K elements, each element gets the bits of
+    the whole-vector update written out term by term."""
+    n = 2 * 8192 + 5
     theta, m, v = rng.normal(size=n), np.zeros(n), np.zeros(n)
     ref, ref_m, ref_v = theta.copy(), m.copy(), v.copy()
     config = TrainConfig(lr=0.01)
@@ -234,6 +236,25 @@ def test_flat_state_matches_per_tensor_adam(overrides):
         assert params.tensors[name].tobytes() == arr.tobytes(), name
 
 
+def test_thread_switches_change_no_byte():
+    """With the interpreter switching threads every microsecond, so the
+    accuracy pass and the next epoch's steps interleave finely, train()
+    still gives the sequential reference's bytes and history."""
+    rng = np.random.default_rng(11)
+    data = gaussian_clusters(rng.normal(size=(3, 5)), [40, 30, 20], 0.5, rng, class_names=["a", "b", "c"])
+    cfg = tiny_config(epochs=4, dropout_rate=0.2, seed=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        params, history = train(data.features, data.labels, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    ref_params, ref_history = reference_train(data.features, data.labels, cfg)
+    assert history == ref_history
+    for name, arr in ref_params.tensors.items():
+        assert params.tensors[name].tobytes() == arr.tobytes(), name
+
+
 def test_zero_epochs_returns_initialization_exactly():
     data = blob_data()
     cfg = tiny_config(epochs=0)
@@ -312,6 +333,43 @@ def test_divergence_masked_by_relu_still_aborts():
     labels = ["pos", "neg"] * 10
     with pytest.raises(TrainingDivergedError, match=r"epoch 0, batch 0: layer 1"):
         train(x, labels, cfg)
+
+
+def test_training_leaves_no_thread_running():
+    data = blob_data(n=30)
+    before = threading.active_count()
+    train(data.features, data.labels, tiny_config(epochs=3))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("next_epoch_fails", [False, True], ids=["next-epoch-runs", "next-epoch-diverges"])
+def test_accuracy_pass_error_is_raised_as_itself(monkeypatch, next_epoch_fails):
+    """The accuracy pass of epoch 0 runs beside epoch 1's steps; its
+    NonFiniteError is raised as it is, not as a TrainingDivergedError,
+    also when epoch 1 diverges meanwhile (a sequential run would never
+    have reached it), and train() returns no thread still running."""
+    data = blob_data(n=30)  # 60 rows, 4 batches of 16 an epoch
+    cfg = tiny_config(epochs=3)
+    real_step = losses.loss_and_grads
+    steps = []
+
+    def failing_pass(params, x):
+        raise ad.NonFiniteError("layer 1: output contains NaN or Inf")
+
+    def step(*args, **kwargs):
+        steps.append(None)
+        if next_epoch_fails and len(steps) > 4:
+            raise ad.NonFiniteError("logits: output contains NaN or Inf")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "class_distances", failing_pass)
+    monkeypatch.setattr(losses, "loss_and_grads", step)
+    before = threading.active_count()
+    with pytest.raises(ad.NonFiniteError, match="^layer 1: output contains NaN or Inf$") as info:
+        train(data.features, data.labels, cfg)
+    assert type(info.value) is ad.NonFiniteError
+    assert threading.active_count() == before
+    assert len(steps) <= 8  # no step of epoch 2
 
 
 def test_empty_dataset_rejected():
