@@ -277,13 +277,15 @@ def _write_scored_rows(fh, rows, scored, class_cells) -> None:
     holds each class name quoted as needed, and a score's ``repr`` and
     ``true``/``false`` need none.  ``writerow`` quotes each cell alone, so
     the joined line is ``writerow(row + appended)``'s, except for a row of
-    one empty cell (``""``); a kept row is never one: its features parsed."""
-    for row, k, score, unknown in zip(
-        rows, scored.predicted.tolist(), scored.scores.tolist(), scored.is_unknown.tolist()
-    ):
-        flag = "true" if unknown else "false"
-        line = row.rstrip("\r\n") if isinstance(row, str) else _csv_line(row)
-        fh.write(f"{line},{class_cells[k]},{score!r},{flag}\r\n")
+    one empty cell (``""``); a kept row is never one: its features parsed.
+    The block's lines go out in one ``fh.write``."""
+    lines = (row.rstrip("\r\n") if isinstance(row, str) else _csv_line(row) for row in rows)
+    fh.write("".join(
+        f"{line},{class_cells[k]},{score!r},{'true' if unknown else 'false'}\r\n"
+        for line, k, score, unknown in zip(
+            lines, scored.predicted.tolist(), scored.scores.tolist(), scored.is_unknown.tolist()
+        )
+    ))
 
 
 def cmd_score(args, open_output):

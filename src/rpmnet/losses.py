@@ -21,6 +21,7 @@ the plain-array :func:`ce_loss`, :func:`margin_loss` and
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +149,25 @@ def total_loss(
 # fused training step
 
 
+def _finite_term(stage: str, value):
+    """``mdl.check_finite`` for a 0-d loss term, by ``math.isfinite``."""
+    return value if math.isfinite(value) else mdl.check_finite(stage, value)
+
+
+def _check_gradients(grads: dict) -> dict:
+    """Return ``grads``; raise ``NonFiniteError`` naming the first of
+    them, in ``PARAM_NAMES`` order, that holds NaN or Inf.  Gradients
+    that are the views of one flat vector (``mdl.flat_params``'s layout)
+    are checked by one call on that vector, and each alone only when it
+    fails."""
+    flat = grads[mdl.PARAM_NAMES[0]].base
+    if (flat is None or flat.size != sum(g.size for g in grads.values())
+            or any(g.base is not flat for g in grads.values()) or not np.isfinite(flat).all()):
+        for name in mdl.PARAM_NAMES:
+            mdl.check_finite(f"gradient of {name}", grads[name])
+    return grads
+
+
 def step_buffers(rows: int, hidden_dims) -> tuple:
     """The arrays :func:`loss_and_grads` runs a batch of at most ``rows``
     rows in: each hidden layer's activation, then the gradient of each."""
@@ -199,7 +219,7 @@ def loss_and_grads(
     shifted = logit - np.max(logit, axis=1, keepdims=True)
     expv = np.exp(shifted)
     sumexp = np.sum(expv, axis=1, keepdims=True)
-    ce = mdl.check_finite("ce", -np.mean((shifted - np.log(sumexp))[np.arange(n), y]))
+    ce = _finite_term("ce", -np.mean((shifted - np.log(sumexp))[np.arange(n), y]))
 
     onehot = _one_hot(y, k)
     sp = np.logaddexp(0.0, params.raw_margins)
@@ -207,21 +227,21 @@ def loss_and_grads(
     hinge = mdl.check_finite(
         "margin hinge", np.sum(d * d, axis=1, keepdims=True) / float(m) - onehot @ sp
     )
-    margin = mdl.check_finite("margin", np.mean(np.where(hinge > 0.0, hinge, 0.0), axis=(0, 1)))
+    margin = _finite_term("margin", np.mean(np.where(hinge > 0.0, hinge, 0.0), axis=(0, 1)))
 
     counts = onehot.sum(axis=0)
     mean_sel = onehot.T / np.maximum(counts, 1.0)[:, None]
     class_means = mean_sel @ z
     dev = z - onehot @ class_means
-    within = mdl.check_finite("fisher within", np.sum(dev * dev, axis=(0, 1)))
+    within = _finite_term("fisher within", np.sum(dev * dev, axis=(0, 1)))
     global_sel = np.full((1, n), 1.0 / n)
     gd = class_means - global_sel @ z
-    between = mdl.check_finite("fisher between", np.sum(counts[:, None] * (gd * gd), axis=(0, 1)))
+    between = _finite_term("fisher between", np.sum(counts[:, None] * (gd * gd), axis=(0, 1)))
     within_eps = within + FISHER_EPS
-    ratio = mdl.check_finite("fisher ratio", between / within_eps)
+    ratio = _finite_term("fisher ratio", between / within_eps)
     one_plus = 1.0 + ratio
-    fisher = mdl.check_finite("fisher", 1.0 / one_plus)
-    total = mdl.check_finite("total", (ce * cw + margin * mw) + fisher * fw)
+    fisher = _finite_term("fisher", 1.0 / one_plus)
+    total = _finite_term("total", (ce * cw + margin * mw) + fisher * fw)
 
     # ---- backward: CE through the distance logits
     floor = mdl.NORM_GUARD * mdl.NORM_GUARD
@@ -237,7 +257,7 @@ def loss_and_grads(
     g_col_sq = ad._unbroadcast(g_sq, (1, k)).T
     g_col_sq = g_col_sq + (z_norm.T @ g_denom).T * (0.5 / p_norm) * (col_sq > floor)
     if out is None:
-        out = {name: np.empty_like(a) for name, a in params.tensors.items()}
+        out = mdl.flat_params(params)[1].tensors  # every entry is overwritten below
     g_points = out["points"]
     np.add((z.T @ g_cross).T, g_col_sq * (2.0 * p), out=g_points)
     g_z = g_cross @ p
@@ -279,7 +299,7 @@ def loss_and_grads(
         np.add.reduce(g, axis=0, out=out[f"b{layer}"])
 
     breakdown = LossBreakdown(ce=float(ce), margin=float(margin), fisher=float(fisher), total=float(total))
-    return breakdown, {name: mdl.check_finite(f"gradient of {name}", out[name]) for name in mdl.PARAM_NAMES}
+    return breakdown, _check_gradients({name: out[name] for name in mdl.PARAM_NAMES})
 
 
 # ---------------------------------------------------------------------------

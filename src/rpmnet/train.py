@@ -2,10 +2,13 @@
 
 Everything random (initialization, epoch shuffles, dropout masks) is
 drawn from one PCG64 generator seeded by the config, so identical
-(data, config) runs produce bit-identical parameters and history.
+(data, config) runs produce bit-identical parameters and history.  The
+shuffles and masks are drawn on a worker thread a batch ahead of the
+steps (:class:`_BatchWorker`), in the order a sequential run draws them.
 """
 from __future__ import annotations
 
+import collections
 import threading
 import warnings
 from dataclasses import dataclass
@@ -86,30 +89,179 @@ def _dropout_masks(rng: np.random.Generator, buffers, n: int, rate: float):
     return masks
 
 
-class _AccuracyPass:
-    """One epoch's training accuracy, computed on a daemon thread from a
-    copy of the parameters, so the next epoch's steps (whose BLAS calls
-    release the GIL) run beside it.  A daemon thread never holds up
-    Ctrl-C or the interpreter's exit."""
+@dataclass
+class _Pass:
+    """One epoch's accuracy pass, on the parameters copied at the epoch's
+    end: the rows handed out in chunks so far, the rows whose chunk has
+    finished, and the hits among them."""
 
-    def __init__(self, params: mdl.ModelParams, x: np.ndarray, y: np.ndarray, loss_means: tuple):
-        self._loss_means = loss_means
-        self._result = None
-        self._thread = threading.Thread(target=self._run, args=(mdl.flat_params(params)[1], x, y), daemon=True)
+    params: mdl.ModelParams
+    claimed: int = 0
+    done: int = 0
+    hits: int = 0
+
+
+class _BatchWorker:
+    """The one helper thread of a training run.
+
+    It draws every batch one step ahead of the training thread, in the
+    order of a sequential run's draws: an epoch's permutation, then each
+    batch's dropout masks in batch order.  It writes the masks and the
+    batch's gathered rows and labels into one of two slots allocated once
+    per run; the training thread steps on one slot while the next is
+    filled.  The permutation of epoch e+1 is drawn only once the training
+    thread has taken epoch e's last batch (that frees the slot it needs),
+    so the generator's state just before it is a sequential run's at the
+    end of epoch e.
+
+    Whenever no slot is free, it runs the pending epoch's accuracy pass,
+    one ``mdl.INFER_ROWS``-row chunk at a time; the training thread runs
+    chunks too while it waits for the pass.  Each chunk's product has the
+    shape it has in one ``class_distances`` call over all rows, and the
+    hits are an integer sum, so the accuracy has that call's bits.  An
+    error of the thread ends every wait of the training thread and is
+    raised there as itself.  A daemon thread never holds up Ctrl-C or the
+    interpreter's exit.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, config: TrainConfig, rng: np.random.Generator):
+        self._x, self._y, self._config, self._rng = x, y, config, rng
+        rows = min(x.shape[0], config.batch_size)
+        self._slots = tuple((np.empty((rows, x.shape[1])), np.empty(rows, dtype=y.dtype),
+                             tuple(np.empty((rows, h)) for h in config.hidden_dims)) for _ in range(2))
+        self._cond = threading.Condition()  # guards every field below
+        self._free, self._ready, self._held = [0, 1], collections.deque(), None
+        self._pass = None  # the pending _Pass
+        self._stop = self._abandon = False
+        self._error = None
+        self._thread = threading.Thread(target=self._run, name="rpmnet-train-worker", daemon=True)
         self._thread.start()
 
-    def _run(self, snapshot, x, y):
-        try:
-            self._result = float(np.mean(np.argmax(mdl.class_distances(snapshot, x), axis=1) == y))
-        except Exception as e:  # raised on the training thread by stats()
-            self._result = e
+    # -- on the worker thread
 
-    def stats(self) -> EpochStats:
-        """Wait for the pass; its error, if it failed, is raised here."""
-        self._thread.join()
-        if isinstance(self._result, Exception):
-            raise self._result from None  # not chained to an error of the next epoch
-        return EpochStats(*self._loss_means, accuracy=self._result)
+    def _run(self):
+        try:
+            n, size = self._x.shape[0], self._config.batch_size
+            for _ in range(self._config.epochs):
+                order = None
+                for start in range(0, n, size):
+                    if (slot := self._free_slot()) is None:
+                        return
+                    if order is None:  # drawn once the previous epoch's last batch is taken
+                        order = self._rng.permutation(n)
+                    self._draw(slot, order[start : start + size])
+            self._free_slot(drawing=False)  # runs the remaining passes until close()
+        except BaseException as e:  # raised on the training thread
+            with self._cond:
+                self._error = e
+                self._cond.notify_all()
+
+    def _free_slot(self, drawing: bool = True):
+        """Run chunks of the pending pass until a slot is free to draw the
+        next batch into, and return it; None once the thread is stopped."""
+        while True:
+            with self._cond:
+                while True:
+                    if self._abandon:
+                        return None
+                    if drawing and self._free and not self._stop:
+                        return self._free.pop()
+                    if (chunk := self._claim()) is not None:
+                        break
+                    if self._stop:
+                        return None
+                    self._cond.wait()
+            self._run_chunk(*chunk)
+
+    def _draw(self, slot: int, idx: np.ndarray):
+        x, y, draws = self._slots[slot]
+        if self._config.dropout_rate > 0.0:
+            _dropout_masks(self._rng, draws, idx.size, self._config.dropout_rate)
+        # a permutation's slice never needs the clip; mode="raise" would
+        # gather through a temporary
+        np.take(self._x, idx, axis=0, out=x[: idx.size], mode="clip")
+        np.take(self._y, idx, out=y[: idx.size], mode="clip")
+        with self._cond:
+            self._ready.append((slot, idx.size))
+            self._cond.notify_all()
+
+    # -- on either thread
+
+    def _claim(self):
+        """Under the lock: ``(pass, first row)`` of the pending pass's next
+        chunk, or None when no chunk is left to hand out."""
+        p = self._pass
+        if p is None or p.claimed >= self._x.shape[0]:
+            return None
+        p.claimed += mdl.INFER_ROWS
+        return p, p.claimed - mdl.INFER_ROWS
+
+    def _run_chunk(self, p: _Pass, start: int):
+        rows = slice(start, start + mdl.INFER_ROWS)
+        predicted = np.argmax(mdl.class_distances(p.params, self._x[rows]), axis=1)
+        hits = int(np.count_nonzero(predicted == self._y[rows]))
+        with self._cond:
+            p.hits += hits
+            p.done += predicted.size
+            if p.done == self._x.shape[0]:
+                self._cond.notify_all()
+
+    # -- on the training thread
+
+    def _wait(self, ready):
+        """Under the lock: wait until ``ready()`` holds; an error of the
+        worker is raised here."""
+        while self._error is None and not ready():
+            self._cond.wait()
+        if self._error is not None:
+            raise self._error from None  # not chained to an error of the training thread
+
+    def next_batch(self):
+        """``(x, y, dropout masks or None)`` of the next batch; the slot of
+        the batch before it goes back to the worker."""
+        with self._cond:
+            self._wait(lambda: self._ready)
+            slot, rows = self._ready.popleft()
+            if self._held is not None:
+                self._free.append(self._held)
+                self._cond.notify_all()
+            self._held = slot
+        x, y, draws = self._slots[slot]
+        masks = tuple(d[:rows] for d in draws) if self._config.dropout_rate > 0.0 else None
+        return x[:rows], y[:rows], masks
+
+    def start_pass(self, params: mdl.ModelParams):
+        """Queue the accuracy pass of the epoch that just ended, on a copy
+        of ``params``; the pass before it must have been collected."""
+        p = _Pass(mdl.flat_params(params)[1])
+        with self._cond:
+            self._pass = p
+            self._cond.notify_all()
+
+    def accuracy(self) -> float:
+        """The training accuracy of the queued pass, which the calling
+        thread helps to finish."""
+        n = self._x.shape[0]
+        while True:
+            with self._cond:
+                self._wait(lambda: self._pass.done == n or self._pass.claimed < n)
+                if self._pass.done == n:
+                    p, self._pass = self._pass, None
+                    return p.hits / n  # the bits of np.mean over the hits
+                chunk = self._claim()
+            self._run_chunk(*chunk)
+
+    def close(self, wait: bool = True):
+        """Stop the thread.  With ``wait`` it first finishes the pending
+        pass, is joined, and an error it had is raised here; without, it
+        is left to exit on its own after its current task."""
+        with self._cond:
+            self._stop, self._abandon = True, not wait
+            self._cond.notify_all()
+        if wait:
+            self._thread.join()
+            if self._error is not None:
+                raise self._error from None  # not chained to an error of the training thread
 
 
 def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
@@ -119,16 +271,19 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     default it is the sorted set of observed labels.  Returns the final
     ``ModelParams`` and the per-epoch history.
 
-    Each epoch's accuracy pass runs beside the next epoch's steps (see
-    :class:`_AccuracyPass`) and is collected before the next pass starts.
-    An error of that pass is raised in place of any error of the next
-    epoch, which a sequential run would never have reached.
+    The steps run on the calling thread, and one :class:`_BatchWorker`
+    thread draws their batches a step ahead and runs each epoch's
+    accuracy pass between them.  Epoch e's accuracy is collected at the
+    end of epoch e+1, before epoch e+1's pass is queued.  An error of a
+    pass is raised in place of any error of the next epoch, which a
+    sequential run would never have reached.  An exception (not Ctrl-C)
+    waits for the worker to end, so none is left running.
 
     The steps run in arrays allocated once per run: the flat gradient,
-    Adam's temporaries, the dropout draws, and the hidden activations and
-    their gradients.  What a step still allocates is at most the size of
-    its batch's embeddings, so its speed no longer depends on where
-    malloc's trim and mmap thresholds happen to stand.
+    Adam's temporaries, the worker's two batch slots, and the hidden
+    activations and their gradients.  What a step still allocates is at
+    most the size of its batch's embeddings, so its speed no longer
+    depends on where malloc's trim and mmap thresholds happen to stand.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
@@ -145,24 +300,19 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     grads = grad_params.tensors  # name -> view of grad
     m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     work = (np.empty_like(theta), np.empty_like(theta))
-    n = x.shape[0]
-    rows = min(n, config.batch_size)
-    draws = tuple(np.empty((rows, h)) for h in config.hidden_dims)
-    buffers = losses.step_buffers(rows, config.hidden_dims)
+    buffers = losses.step_buffers(min(x.shape[0], config.batch_size), config.hidden_dims)
+    batches = len(range(0, x.shape[0], config.batch_size))  # the worker's batches an epoch
     history: list[EpochStats] = []
-    pending = None  # the last epoch's accuracy pass
+    loss_means = None  # of the epoch whose pass is pending
 
+    worker = _BatchWorker(x, y, config, rng)  # the only user of rng from here on
     try:
         for epoch in range(config.epochs):
-            order = rng.permutation(n)
             batch_stats = []
-            for bi, start in enumerate(range(0, n, config.batch_size)):
-                idx = order[start : start + config.batch_size]
-                masks = None
-                if config.dropout_rate > 0.0:
-                    masks = _dropout_masks(rng, draws, idx.size, config.dropout_rate)
+            for bi in range(batches):
+                xb, yb, masks = worker.next_batch()
                 try:
-                    breakdown, _ = losses.loss_and_grads(params, x[idx], y[idx], config, masks, grads, buffers)
+                    breakdown, _ = losses.loss_and_grads(params, xb, yb, config, masks, grads, buffers)
                 except ad.NonFiniteError as e:
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch {bi}: {e}"
@@ -171,18 +321,17 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
                 adam_step(theta, grad, m, v, t, config, work)
                 batch_stats.append(breakdown)
 
+            if loss_means is not None:
+                history.append(EpochStats(*loss_means, accuracy=worker.accuracy()))
+            worker.start_pass(params)
             loss_means = tuple(float(np.mean([getattr(b, term) for b in batch_stats]))
                                for term in ("ce", "margin", "fisher", "total"))
-            if pending is not None:
-                history.append(pending.stats())
-            pending = _AccuracyPass(params, x, y, loss_means)
-        if pending is not None:
-            history.append(pending.stats())
-    except Exception:
-        if pending is not None:
-            pending.stats()  # waits; its own error wins
+        if loss_means is not None:
+            history.append(EpochStats(*loss_means, accuracy=worker.accuracy()))
+    except BaseException as e:
+        worker.close(wait=isinstance(e, Exception))  # a pass's own error wins
         raise
-
+    worker.close()
     return params, history
 
 

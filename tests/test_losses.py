@@ -317,3 +317,21 @@ def test_fused_step_writes_into_the_buffers_it_is_given(case, rng):
             assert grads[name] is views.tensors[name], name
             assert grads[name].tobytes() == ref[name].tobytes(), name
         assert flat.tobytes() == np.concatenate([ref[name].ravel() for name in mdl.PARAM_NAMES]).tobytes()
+
+
+@pytest.mark.parametrize("flat", [True, False], ids=["views-of-one-vector", "separate-arrays"])
+def test_gradient_check_names_the_first_non_finite_tensor(flat, rng):
+    """With NaN planted in ``points`` and Inf in ``b2``, the check names
+    ``b2``, the first of them in ``PARAM_NAMES`` order, whether the
+    gradients are views of one flat vector (checked once) or not."""
+    params, *_ = random_problem(rng, n=6, d=4, k=3)
+    grads = mdl.flat_params(params)[1].tensors if flat else {k: a.copy() for k, a in params.tensors.items()}
+    grads["points"][1, 0] = np.nan
+    grads["b2"][-1] = np.inf
+    with pytest.raises(ad.NonFiniteError, match=r"^gradient of b2: output contains NaN or Inf$"):
+        ls._check_gradients(grads)
+    grads["b2"][-1] = 0.0
+    with pytest.raises(ad.NonFiniteError, match=r"^gradient of points: output contains NaN or Inf$"):
+        ls._check_gradients(grads)
+    grads["points"][1, 0] = 0.0
+    assert ls._check_gradients(grads) is grads

@@ -220,12 +220,17 @@ def reference_train(x, labels, config):
         dict(fisher_weight=0.0, seed=5),
         dict(batch_size=23),
         dict(adam_beta1=0.8, lr=3e-3),
+        dict(batch_size=90),
+        dict(batch_size=500),
+        dict(epochs=1),
     ],
-    ids=["no-epochs", "no-dropout", "dropout", "no-fisher", "ragged-batches", "beta1"],
+    ids=["no-epochs", "no-dropout", "dropout", "no-fisher", "ragged-batches", "beta1", "batch-of-all-rows",
+         "batch-larger-than-data", "one-epoch"],
 )
 def test_flat_state_matches_per_tensor_adam(overrides):
     """train() gives the same parameter bytes and history text as the
-    per-tensor reference, on 3 classes in 5 dimensions."""
+    per-tensor reference, on 3 classes in 5 dimensions (90 rows), with
+    its batches drawn on the worker thread."""
     rng = np.random.default_rng(11)
     data = gaussian_clusters(rng.normal(size=(3, 5)), [40, 30, 20], 0.5, rng, class_names=["a", "b", "c"])
     cfg = tiny_config(**{"epochs": 3, "batch_size": 16, "dropout_rate": 0.2, "seed": 1, **overrides})
@@ -335,11 +340,115 @@ def test_divergence_masked_by_relu_still_aborts():
         train(x, labels, cfg)
 
 
-def test_training_leaves_no_thread_running():
+def test_training_leaves_no_thread_running(monkeypatch):
+    """train() runs beside exactly one thread of its own, and none is
+    left once it returns, or once it raises a failed pass's error."""
     data = blob_data(n=30)
     before = threading.active_count()
+    real_step = losses.loss_and_grads
+    running = set()
+
+    def step(*args, **kwargs):
+        running.add(threading.active_count() - before)
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "loss_and_grads", step)
     train(data.features, data.labels, tiny_config(epochs=3))
+    assert running == {1}
     assert threading.active_count() == before
+
+    def failing_pass(params, x):
+        raise ad.NonFiniteError("layer 1: output contains NaN or Inf")
+
+    monkeypatch.setattr(mdl, "class_distances", failing_pass)
+    with pytest.raises(ad.NonFiniteError):
+        train(data.features, data.labels, tiny_config(epochs=3))
+    assert threading.active_count() == before
+
+
+def test_ctrl_c_does_not_wait_for_the_worker(monkeypatch):
+    """A KeyboardInterrupt during epoch 1 leaves train() at once, while
+    the worker is still inside the first chunk of epoch 0's accuracy
+    pass; the worker then exits on its own without running the second."""
+    data = blob_data(n=200)  # 400 rows: 25 batches of 16 an epoch, 2 chunks of 256 a pass
+    real_pass, real_step = mdl.class_distances, losses.loss_and_grads
+    entered, release, chunks, steps = threading.Event(), threading.Event(), [], []
+
+    def blocked_pass(params, x):
+        chunks.append(None)
+        entered.set()
+        release.wait(10)
+        return real_pass(params, x)
+
+    def step(*args, **kwargs):
+        steps.append(None)
+        if len(steps) > 25:
+            assert entered.wait(10)
+            raise KeyboardInterrupt
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "class_distances", blocked_pass)
+    monkeypatch.setattr(losses, "loss_and_grads", step)
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        train(data.features, data.labels, tiny_config(epochs=3))
+    assert not release.is_set()
+    (worker,) = set(threading.enumerate()) - before
+    release.set()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert len(chunks) == 1
+
+
+class RecordingGenerator:
+    """A PCG64 generator that logs each call as (method, steps finished)."""
+
+    real_default_rng = staticmethod(np.random.default_rng)
+
+    def __init__(self, seed, log, steps):
+        self._rng, self._log, self._steps = self.real_default_rng(seed), log, steps
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def call(*args, **kwargs):
+            self._log.append((name, len(self._steps)))
+            return method(*args, **kwargs)
+
+        return call
+
+
+@pytest.mark.parametrize("batch_size", [16, 23, 90], ids=["four-batches", "ragged", "one-batch"])
+def test_generator_is_called_in_the_sequential_order(monkeypatch, batch_size):
+    """The worker calls the generator in the sequential reference's order,
+    and draws epoch e's permutation only once the training thread has
+    taken epoch e-1's last batch: every step before that batch is done."""
+    rng = np.random.default_rng(11)
+    data = gaussian_clusters(rng.normal(size=(3, 5)), [40, 30, 20], 0.5, rng, class_names=["a", "b", "c"])
+    cfg = tiny_config(epochs=4, batch_size=batch_size, dropout_rate=0.2, seed=1)
+    batches = -(-90 // batch_size)
+    real_step = losses.loss_and_grads
+    logs = {}
+    for run in ("train", "reference"):
+        log, steps = logs.setdefault(run, []), []
+
+        def step(*args, _steps=steps, **kwargs):
+            out = real_step(*args, **kwargs)
+            _steps.append(None)
+            return out
+
+        monkeypatch.setattr(losses, "loss_and_grads", step)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed, log=log, steps=steps: RecordingGenerator(seed, log, steps))
+        (train if run == "train" else reference_train)(data.features, data.labels, cfg)
+        monkeypatch.undo()
+
+    assert [name for name, _ in logs["train"]] == [name for name, _ in logs["reference"]]
+    assert [name for name, _ in logs["train"]].count("random") == 2 * 4 * batches
+    permutations = [done for name, done in logs["train"] if name == "permutation"]
+    assert len(permutations) == 4
+    for epoch, done in enumerate(permutations):
+        assert done >= epoch * batches - 1, (epoch, done)
 
 
 @pytest.mark.parametrize("next_epoch_fails", [False, True], ids=["next-epoch-runs", "next-epoch-diverges"])
