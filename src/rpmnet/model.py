@@ -261,15 +261,18 @@ def class_distances(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
     Every product has ``INFER_ROWS`` rows, the last chunk zero-padded: a
     BLAS may round a short product differently from a long one, so a
-    row's bits never depend on the call it is scored in.
+    row's bits never depend on the call it is scored in.  The chunk and
+    its hidden activations are computed in buffers allocated once a call.
     """
     x = _check_batch(params, x)
     out = np.empty((x.shape[0], params.num_classes))
+    chunk = np.empty((INFER_ROWS, x.shape[1]))
+    hidden = tuple(np.empty((INFER_ROWS, w.shape[1])) for w in params.weights[:2])
     for start in range(0, x.shape[0], INFER_ROWS):
         rows = x[start : start + INFER_ROWS]
-        chunk = np.zeros((INFER_ROWS, x.shape[1]))
         chunk[: len(rows)] = rows
-        z = forward_embed(params, chunk)
+        chunk[len(rows) :] = 0.0  # a tail only in the last, partial chunk
+        z = forward_embed(params, chunk, hidden=hidden)
         dist = forward_distances(z, params.reciprocal_points, params.embed_dim)[0]
         out[start : start + len(rows)] = dist[: len(rows)]
     return out

@@ -3,12 +3,14 @@
 Everything random (initialization, epoch shuffles, dropout masks) is
 drawn from one PCG64 generator seeded by the config, so identical
 (data, config) runs produce bit-identical parameters and history.  The
-shuffles and masks are drawn on a worker thread a batch ahead of the
-steps (:class:`_BatchWorker`), in the order a sequential run draws them.
+shuffles and masks are drawn a batch ahead of the steps by tasks queued
+on one worker thread (:class:`_BatchWorker`), which runs them in the
+order they were queued: the order a sequential run draws them.
 """
 from __future__ import annotations
 
-import collections
+import itertools
+import queue
 import threading
 import warnings
 from dataclasses import dataclass
@@ -89,91 +91,70 @@ def _dropout_masks(rng: np.random.Generator, buffers, n: int, rate: float):
     return masks
 
 
-@dataclass
-class _Pass:
-    """One epoch's accuracy pass, on the parameters copied at the epoch's
-    end: the rows handed out in chunks so far, the rows whose chunk has
-    finished, and the hits among them."""
-
-    params: mdl.ModelParams
-    claimed: int = 0
-    done: int = 0
-    hits: int = 0
-
-
 class _BatchWorker:
     """The one helper thread of a training run.
 
-    It draws every batch one step ahead of the training thread, in the
-    order of a sequential run's draws: an epoch's permutation, then each
-    batch's dropout masks in batch order.  It writes the masks and the
-    batch's gathered rows and labels into one of two slots allocated once
-    per run; the training thread steps on one slot while the next is
-    filled.  The permutation of epoch e+1 is drawn only once the training
-    thread has taken epoch e's last batch (that frees the slot it needs),
-    so the generator's state just before it is a sequential run's at the
-    end of epoch e.
+    It runs the tasks queued on it one at a time, in the order they were
+    queued, and hands each task's result, or the exception it raised, back
+    through a result queue: a drawn batch's ``(slot, rows)``, or a pass
+    chunk's hit count.  Only the training thread queues tasks, and every
+    wait of it is a read of a result that a queued task will produce.
 
-    Whenever no slot is free, it runs the pending epoch's accuracy pass,
-    one ``mdl.INFER_ROWS``-row chunk at a time; the training thread runs
-    chunks too while it waits for the pass.  Each chunk's product has the
+    Every generator call is a task, so the queue's order is the
+    generator's order, a sequential run's: an epoch's permutation (drawn
+    with the epoch's first batch), then each batch's dropout masks in
+    batch order.  A draw writes the masks and the batch's gathered rows
+    and labels into one of two slots allocated once per run.
+    :meth:`next_batch` returns batch k from one slot and queues the draw
+    of batch k+1 into the other, whose step has just finished.  So epoch
+    e+1's permutation is queued only when the training thread takes epoch
+    e's last batch, and the generator's state just before it is a
+    sequential run's at the end of epoch e.
+
+    Behind each draw, ``next_batch`` queues a share of the pending
+    epoch's accuracy pass, in ``mdl.INFER_ROWS``-row chunks, so the whole
+    pass is queued within the next epoch.  Each chunk's product has the
     shape it has in one ``class_distances`` call over all rows, and the
-    hits are an integer sum, so the accuracy has that call's bits.  An
-    error of the thread ends every wait of the training thread and is
-    raised there as itself.  A daemon thread never holds up Ctrl-C or the
-    interpreter's exit.
+    hits are an integer sum, so the accuracy has that call's bits.  A
+    daemon thread never holds up Ctrl-C or the interpreter's exit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, config: TrainConfig, rng: np.random.Generator):
         self._x, self._y, self._config, self._rng = x, y, config, rng
-        rows = min(x.shape[0], config.batch_size)
+        n = x.shape[0]
+        rows = min(n, config.batch_size)
         self._slots = tuple((np.empty((rows, x.shape[1])), np.empty(rows, dtype=y.dtype),
                              tuple(np.empty((rows, h)) for h in config.hidden_dims)) for _ in range(2))
-        self._cond = threading.Condition()  # guards every field below
-        self._free, self._ready, self._held = [0, 1], collections.deque(), None
-        self._pass = None  # the pending _Pass
-        self._stop = self._abandon = False
-        self._error = None
+        self.batches = len(range(0, n, config.batch_size))  # an epoch's
+        self._chunks = range(0, n, mdl.INFER_ROWS)  # a pass's chunks, by first row
+        self._share = -(-len(self._chunks) // self.batches)  # pass chunks queued behind each draw
+        self._tasks, self._drawn, self._hits = queue.SimpleQueue(), queue.SimpleQueue(), queue.SimpleQueue()
+        self._order = None  # the epoch's permutation, written by the worker's tasks only
+        # written by the training thread only
+        self._abandon = False
+        self._taken = 0  # batches taken by next_batch
+        # the pending pass: its θ copy and its chunks not yet queued
+        self._pass, self._left = None, iter(())
         self._thread = threading.Thread(target=self._run, name="rpmnet-train-worker", daemon=True)
         self._thread.start()
-
-    # -- on the worker thread
+        if config.epochs:
+            self._tasks.put((self._drawn, self._draw, 0, 0))
 
     def _run(self):
-        try:
-            n, size = self._x.shape[0], self._config.batch_size
-            for _ in range(self._config.epochs):
-                order = None
-                for start in range(0, n, size):
-                    if (slot := self._free_slot()) is None:
-                        return
-                    if order is None:  # drawn once the previous epoch's last batch is taken
-                        order = self._rng.permutation(n)
-                    self._draw(slot, order[start : start + size])
-            self._free_slot(drawing=False)  # runs the remaining passes until close()
-        except BaseException as e:  # raised on the training thread
-            with self._cond:
-                self._error = e
-                self._cond.notify_all()
+        for results, task, *args in iter(self._tasks.get, None):
+            if self._abandon:
+                return
+            try:
+                results.put(task(*args))
+            except BaseException as e:  # raised on the training thread
+                results.put(e)
 
-    def _free_slot(self, drawing: bool = True):
-        """Run chunks of the pending pass until a slot is free to draw the
-        next batch into, and return it; None once the thread is stopped."""
-        while True:
-            with self._cond:
-                while True:
-                    if self._abandon:
-                        return None
-                    if drawing and self._free and not self._stop:
-                        return self._free.pop()
-                    if (chunk := self._claim()) is not None:
-                        break
-                    if self._stop:
-                        return None
-                    self._cond.wait()
-            self._run_chunk(*chunk)
+    # -- the tasks
 
-    def _draw(self, slot: int, idx: np.ndarray):
+    def _draw(self, slot: int, start: int):
+        if start == 0:
+            self._order = self._rng.permutation(self._x.shape[0])
+        idx = self._order[start : start + self._config.batch_size]
         x, y, draws = self._slots[slot]
         if self._config.dropout_rate > 0.0:
             _dropout_masks(self._rng, draws, idx.size, self._config.dropout_rate)
@@ -181,87 +162,75 @@ class _BatchWorker:
         # gather through a temporary
         np.take(self._x, idx, axis=0, out=x[: idx.size], mode="clip")
         np.take(self._y, idx, out=y[: idx.size], mode="clip")
-        with self._cond:
-            self._ready.append((slot, idx.size))
-            self._cond.notify_all()
+        return slot, idx.size
 
-    # -- on either thread
-
-    def _claim(self):
-        """Under the lock: ``(pass, first row)`` of the pending pass's next
-        chunk, or None when no chunk is left to hand out."""
-        p = self._pass
-        if p is None or p.claimed >= self._x.shape[0]:
-            return None
-        p.claimed += mdl.INFER_ROWS
-        return p, p.claimed - mdl.INFER_ROWS
-
-    def _run_chunk(self, p: _Pass, start: int):
+    def _count_hits(self, params: mdl.ModelParams, start: int) -> int:
         rows = slice(start, start + mdl.INFER_ROWS)
-        predicted = np.argmax(mdl.class_distances(p.params, self._x[rows]), axis=1)
-        hits = int(np.count_nonzero(predicted == self._y[rows]))
-        with self._cond:
-            p.hits += hits
-            p.done += predicted.size
-            if p.done == self._x.shape[0]:
-                self._cond.notify_all()
+        predicted = np.argmax(mdl.class_distances(params, self._x[rows]), axis=1)
+        return int(np.count_nonzero(predicted == self._y[rows]))
 
     # -- on the training thread
 
-    def _wait(self, ready):
-        """Under the lock: wait until ``ready()`` holds; an error of the
-        worker is raised here."""
-        while self._error is None and not ready():
-            self._cond.wait()
-        if self._error is not None:
-            raise self._error from None  # not chained to an error of the training thread
+    def _queue_chunks(self, starts):
+        for start in starts:
+            self._tasks.put((self._hits, self._count_hits, self._pass, start))
 
     def next_batch(self):
-        """``(x, y, dropout masks or None)`` of the next batch; the slot of
-        the batch before it goes back to the worker."""
-        with self._cond:
-            self._wait(lambda: self._ready)
-            slot, rows = self._ready.popleft()
-            if self._held is not None:
-                self._free.append(self._held)
-                self._cond.notify_all()
-            self._held = slot
+        """``(x, y, dropout masks or None)`` of the next batch.  It queues
+        the draw of the batch after it, then its share of the pending
+        pass; an error of the batch's draw is raised here."""
+        drawn = self._drawn.get()
+        if isinstance(drawn, BaseException):
+            raise drawn from None  # not chained to an error of the training thread
+        slot, rows = drawn
+        self._taken += 1
+        if self._taken < self._config.epochs * self.batches:
+            start = self._taken % self.batches * self._config.batch_size
+            self._tasks.put((self._drawn, self._draw, 1 - slot, start))
+        self._queue_chunks(itertools.islice(self._left, self._share))
         x, y, draws = self._slots[slot]
         masks = tuple(d[:rows] for d in draws) if self._config.dropout_rate > 0.0 else None
         return x[:rows], y[:rows], masks
 
     def start_pass(self, params: mdl.ModelParams):
-        """Queue the accuracy pass of the epoch that just ended, on a copy
+        """Begin the accuracy pass of the epoch that just ended, on a copy
         of ``params``; the pass before it must have been collected."""
-        p = _Pass(mdl.flat_params(params)[1])
-        with self._cond:
-            self._pass = p
-            self._cond.notify_all()
+        self._pass = mdl.flat_params(params)[1]
+        self._left = iter(self._chunks)
 
     def accuracy(self) -> float:
-        """The training accuracy of the queued pass, which the calling
-        thread helps to finish."""
-        n = self._x.shape[0]
-        while True:
-            with self._cond:
-                self._wait(lambda: self._pass.done == n or self._pass.claimed < n)
-                if self._pass.done == n:
-                    p, self._pass = self._pass, None
-                    return p.hits / n  # the bits of np.mean over the hits
-                chunk = self._claim()
-            self._run_chunk(*chunk)
+        """The training accuracy of the pending pass.  The worker runs
+        every other chunk still left and the calling thread the rest;
+        every outcome is collected before the first error is raised."""
+        left = list(self._left)
+        self._queue_chunks(left[::2])
+        params, self._pass, mine = self._pass, None, left[1::2]
+        outcomes = []
+        for start in mine:
+            try:
+                outcomes.append(self._count_hits(params, start))
+            except Exception as e:
+                outcomes.append(e)
+        outcomes += [self._hits.get() for _ in range(len(self._chunks) - len(mine))]
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome from None  # not chained to an error of the training thread
+        return sum(outcomes) / self._x.shape[0]  # the bits of np.mean over the hits
 
     def close(self, wait: bool = True):
         """Stop the thread.  With ``wait`` it first finishes the pending
-        pass, is joined, and an error it had is raised here; without, it
-        is left to exit on its own after its current task."""
-        with self._cond:
-            self._stop, self._abandon = True, not wait
-            self._cond.notify_all()
-        if wait:
+        pass, whose error is raised here, and is joined; without, it is
+        left to exit on its own after its current task."""
+        if not wait:
+            self._abandon = True
+            self._tasks.put(None)
+            return
+        try:
+            if self._pass is not None:
+                self.accuracy()
+        finally:
+            self._tasks.put(None)  # behind every task the pass queued
             self._thread.join()
-            if self._error is not None:
-                raise self._error from None  # not chained to an error of the training thread
 
 
 def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
@@ -272,12 +241,12 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     ``ModelParams`` and the per-epoch history.
 
     The steps run on the calling thread, and one :class:`_BatchWorker`
-    thread draws their batches a step ahead and runs each epoch's
-    accuracy pass between them.  Epoch e's accuracy is collected at the
-    end of epoch e+1, before epoch e+1's pass is queued.  An error of a
-    pass is raised in place of any error of the next epoch, which a
-    sequential run would never have reached.  An exception (not Ctrl-C)
-    waits for the worker to end, so none is left running.
+    thread runs the tasks they queue: it draws their batches a step ahead
+    and runs each epoch's accuracy pass between them.  Epoch e's accuracy
+    is collected at the end of epoch e+1, before epoch e+1's pass begins.
+    An error of a pass is raised in place of any error of the next epoch,
+    which a sequential run would never have reached.  An exception (not
+    Ctrl-C) waits for the worker to end, so none is left running.
 
     The steps run in arrays allocated once per run: the flat gradient,
     Adam's temporaries, the worker's two batch slots, and the hidden
@@ -301,7 +270,6 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     m, v, t = np.zeros_like(theta), np.zeros_like(theta), 0
     work = (np.empty_like(theta), np.empty_like(theta))
     buffers = losses.step_buffers(min(x.shape[0], config.batch_size), config.hidden_dims)
-    batches = len(range(0, x.shape[0], config.batch_size))  # the worker's batches an epoch
     history: list[EpochStats] = []
     loss_means = None  # of the epoch whose pass is pending
 
@@ -309,7 +277,7 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     try:
         for epoch in range(config.epochs):
             batch_stats = []
-            for bi in range(batches):
+            for bi in range(worker.batches):
                 xb, yb, masks = worker.next_batch()
                 try:
                     breakdown, _ = losses.loss_and_grads(params, xb, yb, config, masks, grads, buffers)

@@ -241,6 +241,20 @@ def test_flat_state_matches_per_tensor_adam(overrides):
         assert params.tensors[name].tobytes() == arr.tobytes(), name
 
 
+def test_pass_with_more_chunks_than_batches_matches_the_reference():
+    """600 rows in batches of 300: an epoch has 2 batches and its pass 3
+    chunks of 256 rows, so each batch queues 2 chunks and a dropped or
+    doubled chunk changes the history's accuracy."""
+    rng = np.random.default_rng(11)
+    data = gaussian_clusters(rng.normal(size=(3, 5)), [250, 200, 150], 0.8, rng, class_names=["a", "b", "c"])
+    cfg = tiny_config(epochs=4, batch_size=300, dropout_rate=0.2, seed=1)
+    params, history = train(data.features, data.labels, cfg)
+    ref_params, ref_history = reference_train(data.features, data.labels, cfg)
+    assert format_history(history) == format_history(ref_history) and history == ref_history
+    for name, arr in ref_params.tensors.items():
+        assert params.tensors[name].tobytes() == arr.tobytes(), name
+
+
 def test_thread_switches_change_no_byte():
     """With the interpreter switching threads every microsecond, so the
     accuracy pass and the next epoch's steps interleave finely, train()
@@ -398,6 +412,63 @@ def test_ctrl_c_does_not_wait_for_the_worker(monkeypatch):
     worker.join(10)
     assert not worker.is_alive()
     assert len(chunks) == 1
+
+
+def test_ctrl_c_in_the_last_pass_leaves_its_queued_chunks(monkeypatch):
+    """The last pass (3 chunks) is split between the threads: the worker
+    gets chunks 0 and 2, the training thread chunk 1.  A KeyboardInterrupt
+    in chunk 1 leaves train() while the worker is inside chunk 0; the
+    worker then exits without running chunk 2."""
+    data = blob_data(n=300)  # 600 rows
+    real_pass = mdl.class_distances
+    entered, release, worker_chunks = threading.Event(), threading.Event(), []
+
+    def blocked_pass(params, x):
+        if threading.current_thread() is threading.main_thread():
+            assert entered.wait(10)
+            raise KeyboardInterrupt
+        worker_chunks.append(None)
+        entered.set()
+        release.wait(10)
+        return real_pass(params, x)
+
+    monkeypatch.setattr(mdl, "class_distances", blocked_pass)
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        train(data.features, data.labels, tiny_config(epochs=1))
+    assert not release.is_set()
+    (worker,) = set(threading.enumerate()) - before
+    release.set()
+    worker.join(10)
+    assert not worker.is_alive()
+    assert len(worker_chunks) == 1
+
+
+def test_step_error_lets_the_worker_finish_the_pending_pass(monkeypatch):
+    """A step error in epoch 1, when epoch 0's pass has one of its two
+    chunks queued, runs the other chunk before the worker is stopped and
+    joined; the step's error is raised."""
+    data = blob_data(n=200)  # 400 rows: 25 batches of 16 an epoch, 2 chunks of 256 a pass
+    real_pass, real_step = mdl.class_distances, losses.loss_and_grads
+    chunks, steps = [], []
+
+    def counted_pass(params, x):
+        chunks.append(len(x))
+        return real_pass(params, x)
+
+    def step(*args, **kwargs):
+        steps.append(None)
+        if len(steps) > 25:
+            raise ad.NonFiniteError("logits: output contains NaN or Inf")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "class_distances", counted_pass)
+    monkeypatch.setattr(losses, "loss_and_grads", step)
+    before = threading.active_count()
+    with pytest.raises(TrainingDivergedError, match="epoch 1, batch 0"):
+        train(data.features, data.labels, tiny_config(epochs=3))
+    assert threading.active_count() == before
+    assert sorted(chunks) == [144, 256]
 
 
 class RecordingGenerator:
