@@ -80,21 +80,28 @@ def detect(scored: ScoredBatch, threshold: Threshold) -> ScoredBatch:
 
 
 def _summary(values: np.ndarray) -> dict:
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+    if not np.isfinite(mean):  # the sum overflowed (near 1e308), or hit inf - inf with mixed signs
+        mean = (values / values.size).sum()
     return {
         "count": int(values.size),
         "min": float(values.min()),
         "max": float(values.max()),
-        "mean": float(values.mean()),
+        "mean": float(mean),
     }
 
 
 def calibrate(known_val_scores, unknown_val_scores) -> Threshold:
     """Pick tau maximizing F1 of unknown-as-positive detection.
 
-    Candidates are the midpoints of adjacent distinct validation scores
-    plus one sentinel below the minimum (reject nothing) and one above
-    the maximum (reject everything); these finite sentinels realize the
-    same partitions as -inf/+inf.  Ties pick the smallest tau.
+    Each candidate realizes one partition ``score < tau``: the midpoint
+    of each pair of adjacent distinct validation scores, or the upper
+    score where the midpoint rounds onto the lower one; one sentinel
+    below the minimum (reject nothing); and one above the maximum
+    (reject everything), ``max + 1`` or, where that rounds back onto the
+    maximum, the next float above it, left out if that is not finite.
+    So every candidate is finite.  Ties pick the smallest tau.
     """
     known = np.asarray(known_val_scores, dtype=np.float64).ravel()
     unknown = np.asarray(unknown_val_scores, dtype=np.float64).ravel()
@@ -102,8 +109,13 @@ def calibrate(known_val_scores, unknown_val_scores) -> Threshold:
         raise ValueError("calibrate: both known and unknown validation scores are required")
 
     distinct = np.unique(np.concatenate([known, unknown]))
+    lower, upper = distinct[:-1], distinct[1:]
+    middle = lower / 2.0 + upper / 2.0  # (lower + upper) / 2 where that sum does not overflow
+    top = distinct[-1] + 1.0
+    if top == distinct[-1] < sys.float_info.max:
+        top = np.nextafter(top, np.inf)
     candidates = np.concatenate(
-        [[distinct[0] - 1.0], (distinct[:-1] + distinct[1:]) / 2.0, [distinct[-1] + 1.0]]
+        [[distinct[0] - 1.0], np.where(middle > lower, middle, upper), [top] if top > distinct[-1] else []]
     )
 
     known_sorted = np.sort(known)

@@ -113,10 +113,13 @@ class _BatchWorker:
 
     Behind each draw, ``next_batch`` queues a share of the pending
     epoch's accuracy pass, in ``mdl.INFER_ROWS``-row chunks, so the whole
-    pass is queued within the next epoch.  Each chunk's product has the
-    shape it has in one ``class_distances`` call over all rows, and the
-    hits are an integer sum, so the accuracy has that call's bits.  A
-    daemon thread never holds up Ctrl-C or the interpreter's exit.
+    pass is queued within the next epoch; :meth:`accuracy` queues what is
+    left of it, which for the last epoch is the whole pass.  So every pass
+    runs on the worker alone, and the training thread only runs the steps
+    and reads results.  Each chunk's product has the shape it has in one
+    ``class_distances`` call over all rows, and the hits are an integer
+    sum, so the accuracy has that call's bits.  A daemon thread never
+    holds up Ctrl-C or the interpreter's exit.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, config: TrainConfig, rng: np.random.Generator):
@@ -199,19 +202,12 @@ class _BatchWorker:
         self._left = iter(self._chunks)
 
     def accuracy(self) -> float:
-        """The training accuracy of the pending pass.  The worker runs
-        every other chunk still left and the calling thread the rest;
-        every outcome is collected before the first error is raised."""
-        left = list(self._left)
-        self._queue_chunks(left[::2])
-        params, self._pass, mine = self._pass, None, left[1::2]
-        outcomes = []
-        for start in mine:
-            try:
-                outcomes.append(self._count_hits(params, start))
-            except Exception as e:
-                outcomes.append(e)
-        outcomes += [self._hits.get() for _ in range(len(self._chunks) - len(mine))]
+        """The training accuracy of the pending pass.  It queues the
+        pass's chunks still left and collects every chunk's outcome before
+        the first error is raised."""
+        self._queue_chunks(self._left)
+        self._pass = None
+        outcomes = [self._hits.get() for _ in self._chunks]
         for outcome in outcomes:
             if isinstance(outcome, BaseException):
                 raise outcome from None  # not chained to an error of the training thread
@@ -242,8 +238,9 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
 
     The steps run on the calling thread, and one :class:`_BatchWorker`
     thread runs the tasks they queue: it draws their batches a step ahead
-    and runs each epoch's accuracy pass between them.  Epoch e's accuracy
-    is collected at the end of epoch e+1, before epoch e+1's pass begins.
+    and runs each epoch's accuracy pass between them, and the last epoch's
+    pass while the calling thread waits for it.  Epoch e's accuracy is
+    collected at the end of epoch e+1, before epoch e+1's pass begins.
     An error of a pass is raised in place of any error of the next epoch,
     which a sequential run would never have reached.  An exception (not
     Ctrl-C) waits for the worker to end, so none is left running.

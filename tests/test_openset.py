@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -39,17 +40,13 @@ def identity_params(points):
 
 
 def brute_force_best_f1(known, unknown):
-    """Independent oracle: scan every partition a threshold can realize
-    (each score value, midpoints, and both extremes) and return the best
-    achievable unknown-as-positive F1."""
+    """Independent oracle: scan every partition ``score < c`` can realize
+    (c at each score value, and c = inf, which flags every score) and
+    return the best achievable unknown-as-positive F1."""
     known = np.asarray(known, dtype=np.float64)
     unknown = np.asarray(unknown, dtype=np.float64)
-    values = np.concatenate([known, unknown])
-    candidates = list(values) + [values.min() - 1.0, values.max() + 1.0]
-    values_sorted = np.sort(np.unique(values))
-    candidates += list((values_sorted[:-1] + values_sorted[1:]) / 2.0)
     best = 0.0
-    for tau in candidates:
+    for tau in [*known, *unknown, np.inf]:
         tp = int(np.sum(unknown < tau))
         fp = int(np.sum(known < tau))
         fn = unknown.size - tp
@@ -175,14 +172,44 @@ def test_calibrate_tau_is_finite():
 @given(
     st.lists(st.integers(-20, 20), min_size=1, max_size=30),
     st.lists(st.integers(-20, 20), min_size=1, max_size=30),
+    # (scale, offset): steps of 2**53 leave max + 1 == max, steps of 2**1019
+    # overflow a midpoint's sum, and 1 + steps of 2**-52 are adjacent floats
+    st.sampled_from([(0.5, 0.0), (2.0**53, 0.0), (2.0**1019, 0.0), (2.0**-52, 1.0)]),
 )
-def test_calibrate_beats_every_candidate(known, unknown):
-    known = [float(v) / 2.0 for v in known]
-    unknown = [float(v) / 2.0 for v in unknown]
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_beats_every_candidate(known, unknown, scale_offset):
+    scale, offset = scale_offset
+    known = [offset + v * scale for v in known]
+    unknown = [offset + v * scale for v in unknown]
     thr = osr.calibrate(known, unknown)
+    assert np.isfinite(thr.tau)
     achieved = detection_f1(known, unknown, thr.tau)
     assert achieved == thr.calibration_stats["f1"]
     assert achieved >= brute_force_best_f1(known, unknown)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("known, unknown, f1", [
+    ([1.0000000000000002], [1.0], 1.0),
+    ([5e16], [1e17], 2 / 3),
+    ([1.2e308], [1.5e308], 2 / 3),
+    ([1.0], [sys.float_info.max], 0.0),
+], ids=["midpoint-rounds-onto-the-lower-score", "max-plus-one-is-max", "midpoint-overflows", "unknown-at-float-max"])
+def test_calibrate_returns_a_finite_tau_of_best_f1(known, unknown, f1):
+    """Each case defeats the plain midpoint or ``max + 1``; the last has
+    no finite tau that flags its unknown score, so rejecting nothing is
+    the best a finite tau does.  The threshold loads back from its dict,
+    as load_bundle reads it."""
+    thr = osr.calibrate(known, unknown)
+    assert detection_f1(known, unknown, thr.tau) == thr.calibration_stats["f1"] == f1
+    assert osr.Threshold.from_dict(thr.to_dict()) == thr
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_calibrate_summary_mean_survives_an_overflowing_sum():
+    thr = osr.calibrate([1.5e308, 1.5e308, 1.5e308], [-1.5e308, 1.5e308, -1.5e308, 1.5e308])
+    assert thr.calibration_stats["known"]["mean"] == 1.5e308
+    assert thr.calibration_stats["unknown"]["mean"] == 0.0
 
 
 def test_calibrate_ties_pick_smallest_tau():

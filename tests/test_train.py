@@ -1,3 +1,4 @@
+import signal
 import sys
 import threading
 from dataclasses import replace
@@ -415,33 +416,60 @@ def test_ctrl_c_does_not_wait_for_the_worker(monkeypatch):
 
 
 def test_ctrl_c_in_the_last_pass_leaves_its_queued_chunks(monkeypatch):
-    """The last pass (3 chunks) is split between the threads: the worker
-    gets chunks 0 and 2, the training thread chunk 1.  A KeyboardInterrupt
-    in chunk 1 leaves train() while the worker is inside chunk 0; the
-    worker then exits without running chunk 2."""
+    """The last pass (3 chunks) runs on the worker alone.  A Ctrl-C that
+    reaches the training thread while the worker is inside chunk 0 leaves
+    train() at once; the worker then exits without running chunks 1
+    and 2."""
     data = blob_data(n=300)  # 600 rows
     real_pass = mdl.class_distances
-    entered, release, worker_chunks = threading.Event(), threading.Event(), []
+    interrupted, release, chunks = threading.Event(), threading.Event(), []
+
+    def on_sigint(signum, frame):
+        if not interrupted.is_set():
+            interrupted.set()
+            raise KeyboardInterrupt
 
     def blocked_pass(params, x):
-        if threading.current_thread() is threading.main_thread():
-            assert entered.wait(10)
-            raise KeyboardInterrupt
-        worker_chunks.append(None)
-        entered.set()
+        chunks.append(None)
+        # a signal that lands just before the training thread blocks on a
+        # result queue is only seen once the queue wakes it, so resend it
+        while not interrupted.wait(0.01):
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
         release.wait(10)
         return real_pass(params, x)
 
     monkeypatch.setattr(mdl, "class_distances", blocked_pass)
     before = set(threading.enumerate())
-    with pytest.raises(KeyboardInterrupt):
-        train(data.features, data.labels, tiny_config(epochs=1))
-    assert not release.is_set()
-    (worker,) = set(threading.enumerate()) - before
-    release.set()
-    worker.join(10)
-    assert not worker.is_alive()
-    assert len(worker_chunks) == 1
+    previous = signal.signal(signal.SIGINT, on_sigint)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            train(data.features, data.labels, tiny_config(epochs=1))
+        assert not release.is_set()
+        (worker,) = set(threading.enumerate()) - before
+        release.set()
+        worker.join(10)
+        assert not worker.is_alive()
+    finally:
+        release.set()
+        signal.signal(signal.SIGINT, previous)  # after the worker's last signal
+    assert len(chunks) == 1
+
+
+def test_every_pass_chunk_runs_on_the_worker_thread(monkeypatch):
+    """Over 3 epochs of passes that end in a ragged chunk, every
+    class_distances call runs on the worker thread, in pass order: the
+    training thread runs no chunk, not even of the last pass."""
+    data = blob_data(n=300)  # 600 rows: chunks of 256, 256 and 88
+    real_pass = mdl.class_distances
+    calls = []
+
+    def recorded_pass(params, x):
+        calls.append((threading.current_thread() is threading.main_thread(), len(x)))
+        return real_pass(params, x)
+
+    monkeypatch.setattr(mdl, "class_distances", recorded_pass)
+    train(data.features, data.labels, tiny_config(epochs=3))
+    assert calls == [(False, 256), (False, 256), (False, 88)] * 3
 
 
 def test_step_error_lets_the_worker_finish_the_pending_pass(monkeypatch):
