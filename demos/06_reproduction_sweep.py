@@ -18,7 +18,7 @@ import tempfile
 import time
 
 from rpmnet.cli import main as cli
-from rpmnet.dataio import preset_roles_path
+from rpmnet.dataio import preset_roles_path, write_json
 
 GRID = {
     "epochs": [10, 30, 60],
@@ -65,13 +65,13 @@ def main():
             continue
         for combo in itertools.product(*(GRID[k] for k in keys)):
             overrides = dict(zip(keys, combo))
-            started = time.time()
+            started = time.perf_counter()
             with tempfile.TemporaryDirectory() as tmp:
                 cell = run_cell(dataset, data_path, overrides, pathlib.Path(tmp))
-            cell.update(dataset=dataset, config=overrides, seconds=round(time.time() - started, 1))
+            cell.update(dataset=dataset, config=overrides, seconds=round(time.perf_counter() - started, 1))
             results.append(cell)
             print(json.dumps(cell))
-            pathlib.Path(args.out).write_text(json.dumps(results, indent=2))
+            write_json(args.out, results)  # renamed into place whole: a kill mid-write keeps the last file
     print(f"\n{len(results)} cells recorded in {args.out}")
 
 

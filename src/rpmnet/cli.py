@@ -30,8 +30,6 @@ from . import openset as osr
 from .config import TrainConfig
 from .train import TrainingDivergedError, format_history, train
 
-log = logging.getLogger("rpmnet.cli")
-
 HEADLINE_KEYS = ("precision", "recall", "f1_score", "auroc", "aupr_in", "aupr_out")
 PARTITIONS = ("known_train", "known_test", "validation_unknown", "test_unknown")
 
@@ -75,6 +73,7 @@ def _check_outputs(args) -> None:
 
 def _write_manifest(open_output, args, config: TrainConfig, outputs, started, extra):
     # the --config file is recorded by its effective values, under "config"
+    started_utc, started_clock = started  # time.time(), and time.perf_counter(), which no clock step moves
     inputs = {flag: getattr(args, flag) for flag in args.in_flags if flag != "config"}
     manifest = {
         "command": args.command,
@@ -82,8 +81,8 @@ def _write_manifest(open_output, args, config: TrainConfig, outputs, started, ex
         "seed": config.seed,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "outputs": {name: str(p) for name, p in outputs.items()},
-        "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
-        "wall_clock_seconds": time.time() - started,
+        "started_utc": datetime.fromtimestamp(started_utc, tz=timezone.utc).isoformat(),
+        "wall_clock_seconds": time.perf_counter() - started_clock,
         "versions": {"package": __version__, "bundle_format": dataio.BUNDLE_FORMAT},
         **extra,
     }
@@ -294,22 +293,14 @@ def cmd_score(args, open_output):
     bundle = _load_calibrated_bundle(args.bundle)
     rows_scored = dropped = 0
     class_cells = [_csv_line(["", name])[1:] for name in bundle.params.class_names]
-    with contextlib.closing(dataio.iter_records(args.data)) as records:
-        header = next(records)
-        # checked before --out is created, so a file with no rows is checked too
-        try:
-            positions = dataio.column_positions(header, bundle.feature_names)
-        except dataio.SchemaError as e:
-            raise dataio.SchemaError(f"{args.data}: {e}") from None
+    with contextlib.closing(dataio.iter_feature_blocks(args.data, bundle.feature_names)) as blocks:
+        header, _ = next(blocks)  # checked before --out is created, so a file with no rows is checked too
         with open_output(args.out) as fh:
             fh.write(_csv_line(header + ["predicted_label", "score", "is_unknown"]) + "\r\n")
-            blocks = dataio.iter_feature_blocks(records, positions, len(header))
             for scored, rows, n_dropped in _score_blocks(bundle, blocks):
                 _write_scored_rows(fh, rows, osr.detect(scored, bundle.threshold), class_cells)
                 rows_scored += len(rows)
                 dropped += n_dropped
-    if dropped:
-        log.warning("%s: dropped %d rows with missing or non-finite features", args.data, dropped)
     extra = {"rows_scored": rows_scored, "dropped_rows": dropped}
     return bundle.config, {"scored": args.out}, extra, f"scored {rows_scored} rows ({dropped} dropped) -> {args.out}"
 
@@ -363,7 +354,7 @@ def main(argv=None) -> int:
         if level.lower() not in ("debug", "info", "warning", "error", "critical"):
             raise CliError(f"RPMNET_LOG={level!r} is not a log level; use debug, info, warning, error or critical")
         logging.basicConfig(level=level.upper())
-        started = time.time()
+        started = time.time(), time.perf_counter()
         _check_outputs(args)
         with dataio.atomic_outputs() as open_output:
             config, outputs, extra, summary = args.func(args, open_output)

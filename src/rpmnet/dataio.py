@@ -5,10 +5,12 @@ Cleaning policy: rows with non-numeric, NaN, or infinite feature values
 are dropped (never imputed) and counted, since public flow datasets are
 known to contain Inf/NaN artifacts that would poison z-score statistics.
 
-Every command checks a CSV header with :func:`column_positions`: a
-column it reads that the header lacks or repeats is a SchemaError
-listing those columns.  Labels become class indices only through
-:func:`encode_labels`, which names every label outside the vocabulary.
+Every command reads a CSV through :func:`iter_feature_blocks`, which
+checks the header with :func:`column_positions` (a column the command
+reads that the header lacks or repeats is a SchemaError listing those
+columns) and logs the file's drops once, at its end.  Labels become
+class indices only through :func:`encode_labels`, which names every
+label outside the vocabulary.
 
 The bundle is a single self-describing file: a JSON manifest (format
 version, feature schema, label vocabulary, config, threshold) followed
@@ -49,7 +51,6 @@ __all__ = [
     "ClassRoles",
     "BUNDLE_FORMAT",
     "BLOCK_ROWS",
-    "iter_records",
     "iter_feature_blocks",
     "iter_labelled_blocks",
     "read_csv_rows",
@@ -80,8 +81,7 @@ ROLES = (ROLE_KNOWN, ROLE_VALIDATION_UNKNOWN, ROLE_TEST_UNKNOWN)
 
 BUNDLE_FORMAT = "rpmnet-bundle/1"
 # physical lines per block, so at most as many records: what
-# ``iter_records`` checks and ``iter_feature_blocks`` parses at a time for
-# ``load_csv`` and every ``rpmnet`` command that reads a CSV
+# ``iter_records`` checks and ``iter_feature_blocks`` parses at a time
 BLOCK_ROWS = 1024
 _MAGIC = b"RPMB"
 
@@ -342,12 +342,34 @@ def _parse_block(records, positions, width):
     return features[parsed], [records[i] for i in kept], n - len(kept)
 
 
-def iter_feature_blocks(blocks, positions, width):
-    """Parse the blocks of :func:`iter_records` after its header at the
-    feature ``positions`` of a header of ``width`` columns: an iterator
-    of (features, kept records, dropped count) per block, as
-    :func:`_parse_block` gives them."""
-    return map(functools.partial(_parse_block, positions=positions, width=width), blocks)
+def iter_feature_blocks(path, names=None, also=()):
+    """Read a CSV file as every command does: yield its header and feature
+    ``names`` (every column not in ``also`` by default), then (features,
+    kept records, dropped count) per block, as :func:`_parse_block` gives
+    them.  The first ``next()`` checks the header with :func:`column_positions`
+    over the names and ``also``; its SchemaError names the file.  At the
+    end the drops are logged once, and, if no record was kept, why the
+    first one dropped."""
+    with contextlib.closing(iter_records(path)) as records:
+        header = next(records)
+        names = tuple(h for h in header if h not in also) if names is None else tuple(names)
+        try:
+            positions = column_positions(header, [*names, *also])[: len(names)]
+        except SchemaError as e:
+            raise SchemaError(f"{path}: {e}") from None
+        yield header, names
+        n_kept = dropped = 0
+        parse = functools.partial(_parse_block, positions=positions, width=len(header))
+        # a map, so no frame holds a block's records while the next is read
+        for features, kept, n_dropped in map(parse, records):
+            n_kept, dropped = n_kept + len(kept), dropped + n_dropped
+            yield features, kept, n_dropped
+            del features, kept
+    if dropped:
+        log.warning("%s: dropped %d rows with missing or non-finite features", path, dropped)
+        cause = None if n_kept else _drop_cause(path, header, positions)
+        if cause:
+            log.warning("%s", cause)
 
 
 def _cells(records, pos, width):
@@ -432,32 +454,18 @@ def extract_features(header, rows, feature_names):
 def iter_labelled_blocks(path, feature_names=None, label_column: str = "label"):
     """Yield the feature names of a labelled flow CSV (every non-label
     column by default), then (features, kept rows' labels, dropped count)
-    per block of ``BLOCK_ROWS`` records.  At the end, drops are logged as
-    one warning; a file with no usable record is an EmptyDatasetError."""
-    with contextlib.closing(iter_records(path)) as records:
-        header = next(records)
-        if feature_names is None:
-            feature_names = [h for h in header if h != label_column]
-        feature_names = tuple(feature_names)
-        try:
-            *positions, label_pos = column_positions(header, [*feature_names, label_column])
-        except SchemaError as e:
-            raise SchemaError(f"{path}: {e}") from None
-        width = len(header)
+    per block of :func:`iter_feature_blocks`, which reports the drops; a
+    file with no usable record is an EmptyDatasetError."""
+    with contextlib.closing(iter_feature_blocks(path, feature_names, also=(label_column,))) as blocks:
+        header, feature_names = next(blocks)
+        label_pos, width = header.index(label_column), len(header)
         yield feature_names
-        vocabulary, dropped = {}, 0  # label -> the one str its rows share
-        for features, kept, n_dropped in iter_feature_blocks(records, positions, width):
-            dropped += n_dropped
+        vocabulary = {}  # label -> the one str its rows share
+        for features, kept, n_dropped in blocks:
             labels = [vocabulary.setdefault(c, c) for c in _cells(kept, label_pos, width)]
             yield features, labels, n_dropped
             del features, kept  # not held while the next block is read
-    if dropped:
-        log.warning("%s: dropped %d rows with missing or non-finite features", path, dropped)
     if not vocabulary:  # no row was kept
-        if dropped:
-            cause = _drop_cause(path, header, positions)
-            if cause:
-                log.warning("%s", cause)
         raise EmptyDatasetError(f"{path}: no usable records")
 
 

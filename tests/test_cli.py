@@ -7,8 +7,10 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +337,44 @@ def test_score_empty_input_gives_header_only(workspace):
                "--out", str(out_path)])
     assert rc == 0
     assert out_path.read_bytes() == b"f0,f1,f2,f3,predicted_label,score,is_unknown\r\n"
+
+
+def test_score_where_every_row_drops_gives_header_only(tmp_path, caplog):
+    """A file whose every row drops scores to a header-only CSV.  The
+    reader logs the drop warning once, and the line and reason the first
+    row dropped once, as it does for the labelled commands."""
+    bundle, data, out = tmp_path / "model.cal.bundle", tmp_path / "dirty.csv", tmp_path / "scored.csv"
+    dio.save_bundle(bundle, tiny_bundle(threshold=_THRESHOLD))
+    data.write_text("f0,f1,f2,f3\n1,2,nan,4\n1,2,3\n")
+    assert main(["score", "--bundle", str(bundle), "--data", str(data), "--out", str(out)]) == 0
+    assert out.read_bytes() == b"f0,f1,f2,f3,predicted_label,score,is_unknown\r\n"
+    assert [(r.name, r.getMessage()) for r in caplog.records if r.levelname == "WARNING"] == [
+        ("rpmnet.dataio", f"{data}: dropped 2 rows with missing or non-finite features"),
+        ("rpmnet.dataio", f"{data}: line 2: column 'f2' holds 'nan', which is not finite"),
+    ]
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert (manifest["rows_scored"], manifest["dropped_rows"]) == (0, 2)
+
+
+def test_manifest_duration_survives_a_wall_clock_step(tmp_path, monkeypatch):
+    """A wall clock stepped back one hour mid-command (NTP, a resume from
+    suspend) leaves the manifest's duration non-negative: it is timed on
+    a monotonic clock, and only the start time is read off the wall."""
+    bundle, data, out = tmp_path / "model.cal.bundle", tmp_path / "flows.csv", tmp_path / "scored.csv"
+    dio.save_bundle(bundle, tiny_bundle(threshold=_THRESHOLD))
+    data.write_text("f0,f1,f2,f3\n1,2,3,4\n")
+    real_time, real_score = time.time, cli.cmd_score
+
+    def stepped_score(args, open_output):
+        monkeypatch.setattr(time, "time", lambda: real_time() - 3600)
+        return real_score(args, open_output)
+
+    monkeypatch.setattr(cli, "cmd_score", stepped_score)
+    before = real_time()
+    assert main(["score", "--bundle", str(bundle), "--data", str(data), "--out", str(out)]) == 0
+    manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+    assert 0 <= manifest["wall_clock_seconds"] < 60
+    assert abs(datetime.fromisoformat(manifest["started_utc"]).timestamp() - before) < 60
 
 
 def test_score_schema_mismatch_lists_columns(workspace, capsys):

@@ -1058,6 +1058,11 @@ def test_shipped_presets_load(name, n_known):
     assert roles.validation_unknown and roles.test_unknown
 
 
+def test_unknown_preset_lists_the_shipped_ones():
+    with pytest.raises(FileNotFoundError, match=r"^no preset 'cicids2018'; available: cicids2017, unsw_nb15$"):
+        dio.preset_roles_path("cicids2018")
+
+
 # ---------------------------------------------------------------------------
 # bundle persistence
 

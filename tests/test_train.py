@@ -550,6 +550,29 @@ def test_generator_is_called_in_the_sequential_order(monkeypatch, batch_size):
         assert done >= epoch * batches - 1, (epoch, done)
 
 
+def test_worker_draw_error_is_raised_as_itself(monkeypatch):
+    """An error of a batch draw on the worker (here the third batch's
+    dropout masks) is raised by train() as it is, chained to no other
+    error, and train() leaves no thread of its own running."""
+    data = blob_data(n=30)  # 60 rows, 4 batches of 16 an epoch
+    module = sys.modules["rpmnet.train"]  # the package rebinds rpmnet.train to the function
+    real_masks, calls = module._dropout_masks, []
+
+    def failing_masks(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("draw failed")
+        return real_masks(*args)
+
+    monkeypatch.setattr(module, "_dropout_masks", failing_masks)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^draw failed$") as info:
+        train(data.features, data.labels, tiny_config(dropout_rate=0.2))
+    assert info.value.__cause__ is None and info.value.__context__ is None
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("next_epoch_fails", [False, True], ids=["next-epoch-runs", "next-epoch-diverges"])
 def test_accuracy_pass_error_is_raised_as_itself(monkeypatch, next_epoch_fails):
     """The accuracy pass of epoch 0 runs beside epoch 1's steps; its
