@@ -451,18 +451,23 @@ def extract_features(header, rows, feature_names):
     return features[finite], kept_idx, len(rows) - len(kept_idx)
 
 
-def iter_labelled_blocks(path, feature_names=None, label_column: str = "label"):
+def iter_labelled_blocks(path, feature_names=None, label_column: str = "label", roles=None):
     """Yield the feature names of a labelled flow CSV (every non-label
     column by default), then (features, kept rows' labels, dropped count)
     per block of :func:`iter_feature_blocks`, which reports the drops; a
-    file with no usable record is an EmptyDatasetError."""
+    file with no usable record is an EmptyDatasetError.  With ``roles``, a
+    block that adds a label is yielded only after ``roles.roles_of``, whose
+    RolesError names every class read so far that has no role."""
     with contextlib.closing(iter_feature_blocks(path, feature_names, also=(label_column,))) as blocks:
         header, feature_names = next(blocks)
         label_pos, width = header.index(label_column), len(header)
         yield feature_names
         vocabulary = {}  # label -> the one str its rows share
         for features, kept, n_dropped in blocks:
+            n = len(vocabulary)
             labels = [vocabulary.setdefault(c, c) for c in _cells(kept, label_pos, width)]
+            if roles is not None and len(vocabulary) > n:
+                roles.roles_of(sorted(vocabulary))
             yield features, labels, n_dropped
             del features, kept  # not held while the next block is read
     if not vocabulary:  # no row was kept
@@ -492,12 +497,12 @@ def _drop_cause(path, header, positions):
     return None
 
 
-def load_csv(path, feature_names=None, label_column: str = "label"):
+def load_csv(path, feature_names=None, label_column: str = "label", roles=None):
     """Load a labelled flow CSV, the blocks of :func:`iter_labelled_blocks`
-    copied into one float64 matrix; returns (FlowDataset,
-    dropped_row_count).  The matrix is allocated once, with a row per
-    physical line, and cut to the rows kept."""
-    blocks = iter_labelled_blocks(path, feature_names, label_column)
+    (with its ``roles`` check) copied into one float64 matrix; returns
+    (FlowDataset, dropped_row_count).  The matrix is allocated once, with a
+    row per physical line, and cut to the rows kept."""
+    blocks = iter_labelled_blocks(path, feature_names, label_column, roles)
     feature_names = next(blocks)
     features = np.empty((_count_lines(path), len(feature_names)), dtype=np.float64)
     n, labels, dropped = 0, [], 0
@@ -882,8 +887,9 @@ def load_bundle(path) -> Bundle:
     first, then each of the ten sections once, in the order
     :func:`save_bundle` writes them: it exists, its fields are integers,
     ``nbytes`` fits its shape, it fits in the payload, its shape is the
-    one the manifest's names and dims give, and it starts where the one
-    before ends; the last must end at the payload's end."""
+    one the manifest's names and dims give, it starts where the one
+    before ends, and its values are finite (``scaler_std``'s also > 0, as
+    :func:`fit_scaler` gives them); the last must end at the payload's end."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(_MAGIC) + 8 or not blob.startswith(_MAGIC):
@@ -961,7 +967,11 @@ def load_bundle(path) -> Bundle:
                     f"{path}: section {name!r} starts at payload byte {start}, not {end}; "
                     "the sections must tile the payload in order"
                 )
-            arrays[name] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(shape).copy()
+            values = arrays[name] = np.frombuffer(payload[start : start + n], dtype=np.float64).reshape(shape).copy()
+            if not np.isfinite(values).all():
+                raise BundleError(f"{path}: section {name!r} holds NaN or Inf, so the bundle cannot score")
+            if name == "scaler_std" and (values <= 0).any():
+                raise BundleError(f"{path}: section 'scaler_std' holds a value <= 0, so features cannot be scaled")
             end += n
         if end != len(payload):
             raise BundleError(

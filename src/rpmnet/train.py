@@ -230,7 +230,7 @@ class _BatchWorker:
 
 
 def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
-    """Train on a normalized feature matrix with string labels.
+    """Train on a normalized feature matrix with one string label per row.
 
     ``class_names`` fixes the label vocabulary (and logit order); by
     default it is the sorted set of observed labels.  Returns the final
@@ -254,6 +254,8 @@ def train(features: np.ndarray, labels, config: TrainConfig, class_names=None):
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ValueError(f"training features must be a non-empty 2-D matrix, got shape {x.shape}")
+    if len(labels) != x.shape[0]:  # else the worker's clipped gathers would train on wrong labels
+        raise ValueError(f"training needs one label per feature row: got {len(labels)} labels for {x.shape[0]} rows")
     class_names = tuple(sorted(set(labels)) if class_names is None else class_names)
     y = encode_labels(labels, class_names)
     for name, count in zip(class_names, np.bincount(y, minlength=len(class_names))):

@@ -790,6 +790,29 @@ def test_a_roles_mistake_stops_scoring_at_its_block(workspace, capsys, monkeypat
     assert not list(workspace["dir"].glob("result*"))
 
 
+def test_a_roles_mistake_stops_train_at_its_block(workspace, capsys, monkeypatch):
+    """train checks each block's labels as it reads them.  In 64-row
+    blocks the fixture's first nov_val row is in the third block: train
+    parses three of the five blocks, names only nov_val, and writes
+    nothing."""
+    roles = workspace["dir"] / "mistaken_roles.json"
+    roles.write_text(json.dumps(ROLES_MISTAKES["no-role"][0]))
+    parsed = []
+    real_parse = dio._parse_block
+    monkeypatch.setattr(dio, "_parse_block", lambda *a, **kw: parsed.append(None) or real_parse(*a, **kw))
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 64)
+    listing = set(workspace["dir"].iterdir())
+    capsys.readouterr()
+    assert main(["train", "--data", workspace["data"], "--roles", str(roles), "--config", workspace["config"],
+                 "--out", workspace["bundle"]]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --data {workspace['data']} with --roles {roles}: "
+        "classes present in the data but missing from the roles config: 'nov_val'\n"
+    )
+    assert len(parsed) == 3
+    assert set(workspace["dir"].iterdir()) == listing
+
+
 def _with_oversized_cell(ws, line_no):
     """The fixture CSV with the cell f1 of data line ``line_no`` (1-based
     file line) longer than csv's default field size limit."""

@@ -799,6 +799,12 @@ def test_blocked_scaler_has_the_bits_of_numpy(n, d, block_rows, seed):
     assert scaler.std.tobytes() == np.where(std < 1e-12, 1.0, std).tobytes(), (n, d, block_rows)
 
 
+@pytest.mark.parametrize("x", [np.zeros((0, 3)), np.zeros(4), np.zeros((2, 2, 2))], ids=["no-rows", "1-D", "3-D"])
+def test_fit_scaler_needs_a_non_empty_matrix(x):
+    with pytest.raises(ValueError, match="^fit_scaler needs a non-empty 2-D feature matrix$"):
+        dio.fit_scaler(x)
+
+
 def test_scaler_two_point_feature():
     # population std of {0, 2} is 1: scales to -1 and +1 exactly
     x = np.array([[0.0], [2.0]])
@@ -929,6 +935,32 @@ def test_split_wildcard_default_role():
     roles = dio.ClassRoles(known=("a", "b"), default=dio.ROLE_TEST_UNKNOWN)
     part = dio.make_split(labels, roles, seed=0)
     assert Counter(partition_labels(labels, part, 3)) == {"odd": 2}
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_split_ratio_must_lie_strictly_between_zero_and_one(ratio):
+    with pytest.raises(ValueError, match="^ratio must lie strictly between 0 and 1$"):
+        dio.make_split(["a", "a", "b", "b"], dio.ClassRoles(known=("a", "b")), ratio=ratio)
+
+
+def test_labelled_blocks_stop_at_the_first_block_with_a_class_without_a_role(tmp_path, monkeypatch):
+    """With roles, the reader yields a block only once every label read so
+    far has a role: 'x' first shows in the second block of two rows, so
+    that block is never yielded, and the error names 'x' alone, not the
+    'y' and 'z' of the blocks after it.  Without roles the file reads
+    through."""
+    monkeypatch.setattr(dio, "BLOCK_ROWS", 2)
+    path = write(tmp_path / "flows.csv", "f0,label\n1,a\n2,a\n3,b\n4,x\n5,y\n6,z\n")
+    roles = dio.ClassRoles(known=("a", "b"))
+    message = r"^classes present in the data but missing from the roles config: 'x'$"
+    blocks = dio.iter_labelled_blocks(path, roles=roles)
+    assert next(blocks) == ("f0",)
+    assert next(blocks)[1] == ["a", "a"]
+    with pytest.raises(dio.RolesError, match=message):
+        next(blocks)
+    with pytest.raises(dio.RolesError, match=message):
+        dio.load_csv(path, roles=roles)
+    assert dio.load_csv(path)[0].labels == ("a", "a", "b", "x", "y", "z")
 
 
 def test_split_known_class_needs_two_samples():
@@ -1416,6 +1448,35 @@ def test_a_corrupted_manifest_field_loads_or_names_the_bundle(tmp_path_factory, 
         dio.load_bundle(path)
     except dio.BundleError as e:
         assert str(e).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize(
+    "section, value, why",
+    [
+        ("W1", math.nan, "holds NaN or Inf, so the bundle cannot score"),
+        ("points", math.inf, "holds NaN or Inf, so the bundle cannot score"),
+        ("scaler_mean", -math.inf, "holds NaN or Inf, so the bundle cannot score"),
+        ("scaler_std", math.nan, "holds NaN or Inf, so the bundle cannot score"),
+        ("scaler_std", 0.0, "holds a value <= 0, so features cannot be scaled"),
+        ("scaler_std", -1.0, "holds a value <= 0, so features cannot be scaled"),
+    ],
+    ids=["nan-weight", "inf-point", "inf-mean", "nan-std", "zero-std", "negative-std"],
+)
+def test_bundle_with_unusable_values_names_the_bundle_and_section(tmp_path, capsys, section, value, why):
+    """A CRC-valid bundle with NaN or Inf in a section, or a std <= 0, is
+    a BundleError naming it and the section, so score does not blame the
+    data for what the bundle holds."""
+    bundle = tiny_bundle(threshold=_THRESHOLD)
+    arrays = {**bundle.params.tensors, "scaler_mean": bundle.scaler.mean, "scaler_std": bundle.scaler.std}
+    arrays[section].flat[1] = value
+    path = tmp_path / "m.bundle"
+    dio.save_bundle(path, bundle)
+    with pytest.raises(dio.BundleError) as info:
+        dio.load_bundle(path)
+    assert str(info.value) == f"{path}: section {section!r} {why}"
+    data = write(tmp_path / "flows.csv", "f0,f1,f2,f3\n1,2,3,4\n")
+    assert main(["score", "--bundle", str(path), "--data", data, "--out", str(tmp_path / "scored.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: section {section!r} {why}\n"
 
 
 def test_score_with_a_bundle_one_feature_short_names_the_bundle(tmp_path, capsys):

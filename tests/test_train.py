@@ -603,6 +603,22 @@ def test_accuracy_pass_error_is_raised_as_itself(monkeypatch, next_epoch_fails):
     assert len(steps) <= 8  # no step of epoch 2
 
 
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_a_label_count_other_than_the_row_count_is_refused(monkeypatch, epochs):
+    """60 labels for 100 feature rows is a ValueError naming both counts,
+    raised before the generator is seeded or the worker thread starts:
+    else the worker's clipped gathers train on the wrong labels, and with
+    no epoch a model comes back."""
+    data = blob_data(n=50)  # 100 rows
+    module = sys.modules["rpmnet.train"]  # the package rebinds rpmnet.train to the function
+    started = []
+    monkeypatch.setattr(module, "_BatchWorker", lambda *args: started.append("worker"))
+    monkeypatch.setattr(mdl, "init_params", lambda *args: started.append("init"))
+    with pytest.raises(ValueError, match=r"^training needs one label per feature row: got 60 labels for 100 rows$"):
+        train(data.features, data.labels[:60], tiny_config(epochs=epochs))
+    assert started == []
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(ValueError, match="non-empty"):
         train(np.zeros((0, 3)), [], tiny_config())
